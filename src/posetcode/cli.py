@@ -14,13 +14,7 @@ import click
 
 from . import files
 from .budget import BudgetExceededError, DEFAULT_BUDGET
-from .decomp import (
-    canonical_form,
-    degree,
-    is_p_canonical,
-    maximal_p_decomposition,
-    profile,
-)
+from .decomp import degree, is_p_canonical, maximal_p_decomposition, profile
 from .decode import (
     build_plan_for_code,
     build_table,
@@ -128,11 +122,11 @@ def canonicalize(poset_path, code_path, as_json):
     poset = files.load_poset(poset_path)
     code = files.load_code(code_path)
     _require_same_n(poset, code)
-    gstar, witness = canonical_form(code.gen, poset)
     pd = maximal_p_decomposition(code, poset)
+    gstar = pd.decomposition.code.gen
     payload = {
         "canonical": [list(r) for r in gstar.rows],
-        "witness": [list(r) for r in witness.rows],
+        "witness": [list(r) for r in pd.witness.rows],
         "fixpoint": is_p_canonical(gstar, poset),
         "profile": [list(e) for e in profile(pd.decomposition)],
         "degree": degree(pd),
@@ -245,7 +239,7 @@ def mindist(poset_path, code_path, budget, as_json):
 @budget_option
 @json_option
 def radius(poset_path, code_path, mode, budget, as_json):
-    """Packing radius: exact by exhaustion, or neighbor bounds."""
+    """Packing radius: exact by support bipartition, or neighbor bounds."""
     poset = files.load_poset(poset_path)
     code = files.load_code(code_path)
     _require_same_n(poset, code)

@@ -1,13 +1,12 @@
-"""Exact packing radius by exhaustion, and hierarchical-neighbor bounds."""
+"""Exact packing radius by support bipartition, and hierarchical-neighbor bounds."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import maximal_p_decomposition
-from .linear import Code, Vector
+from .linear import Code
 from .poset import Poset, lower_neighbor, upper_neighbor
 
 
@@ -28,49 +27,44 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
     """Largest r such that radius-r balls around codewords are disjoint.
 
     By translation invariance this is one less than the smallest, over
-    nonzero codewords c, of min over all x of max(w(x), w(x - c)); the
-    inner minimum is found by scanning the whole ambient space.
+    nonzero codewords c, of min over all x of max(w(x), w(x - c)).  Each
+    coordinate of S = supp(c) lies in supp(x) or in supp(x - c), and
+    coordinates outside S never help, so the inner minimum is
+    min over A subset of S of max(|<A>|, |<S minus A>|).  That depends
+    only on S, whatever q is, and can only grow with S, so only the
+    inclusion-minimal supports are scanned.  The cost is the q^k
+    codewords plus 2^|S| per minimal support.
     """
     if poset.n != code.n:
         raise ValueError(f"poset ground set {poset.n} does not match code length {code.n}")
-    q, n = code.q, code.n
-    check_budget("packing radius exhaustion", q**n, budget)
-    check_budget("packing radius codeword enumeration", q**code.k, budget)
-
-    weights = _ambient_weights(poset, q, n)
-    best: int | None = None
-    if q == 2:
-        cw_masks = [c.support_mask() for c in code.codewords(budget) if not c.is_zero()]
-        if not cw_masks:
-            raise ValueError("zero-dimensional code has no packing radius")
-        for cmask in cw_masks:
-            meet = min(max(weights[x], weights[x ^ cmask]) for x in range(1 << n))
-            if best is None or meet < best:
-                best = meet
-    else:
-        space = [v for v in _ambient_vectors(code, n)]
-        for c in code.codewords(budget):
-            if c.is_zero():
-                continue
-            meet = min(
-                max(weights[x.support_mask()], weights[(x - c).support_mask()])
-                for x in space
-            )
-            if best is None or meet < best:
-                best = meet
-    if best is None:
-        raise ValueError("zero-dimensional code has no packing radius")
-    return best - 1
+    check_budget("packing radius codeword enumeration", code.q**code.k, budget)
+    supports = {c.support_mask() for c in code.codewords(budget)}
+    supports.discard(0)
+    minimal: list[int] = []
+    for s in sorted(supports, key=int.bit_count):
+        if not any(m & s == m for m in minimal):
+            minimal.append(s)
+    check_budget(
+        "packing radius support bipartition",
+        sum(1 << s.bit_count() for s in minimal),
+        budget,
+    )
+    return min(_support_meet(poset, s) for s in minimal) - 1
 
 
-def _ambient_weights(poset: Poset, q: int, n: int) -> list[int]:
-    """Weight of every support mask, indexed by mask."""
-    return [bin(poset.ideal_mask(m)).count("1") for m in range(1 << n)]
-
-
-def _ambient_vectors(code: Code, n: int):
-    for coords in itertools.product(range(code.q), repeat=n):
-        yield Vector(code.field, coords)
+def _support_meet(poset: Poset, support: int) -> int:
+    """min over A subset of the support of max(|<A>|, |<support minus A>|)."""
+    ideals = [0]
+    m = support
+    while m:
+        low = m & -m
+        down = poset.ideal_mask(low)
+        ideals += [ideal | down for ideal in ideals]
+        m ^= low
+    sizes = [ideal.bit_count() for ideal in ideals]
+    # Index t lists a subset A by its bits; the last index minus t lists
+    # the rest of the support, so the reversed list pairs each A with it.
+    return min(map(max, sizes, reversed(sizes)))
 
 
 def packing_radius_bounds(

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from posetcode import cli as cli_module
+from posetcode import decomp as decomp_module
 from posetcode import files
 from posetcode.cli import main
 from posetcode.decomp import Decomposition, validate_p_decomposition, PDecomposition
@@ -101,6 +103,22 @@ class TestCommands:
             [1, 0, 0, 1, 1, 0],
             [0, 1, 0, 0, 0, 0],
         ]
+
+    def test_canonicalize_canonicalizes_once(self, workdir, capsys, monkeypatch):
+        real = decomp_module.canonical_form
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        # Patched in the CLI module too, so a direct call from there counts.
+        monkeypatch.setattr(decomp_module, "canonical_form", counting)
+        monkeypatch.setattr(cli_module, "canonical_form", counting, raising=False)
+        assert main(["canonicalize", "--poset", str(workdir / "a.poset"),
+                     "--code", str(workdir / "g.code"), "--json"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_decompose_json_roundtrips_and_revalidates(self, workdir, capsys):
         assert main(

@@ -12,6 +12,8 @@ from posetcode.randgen import random_code, random_hierarchical_poset, random_pos
 from posetcode.decomp import maximal_p_decomposition
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def test_bounds_container_validation():
@@ -41,12 +43,13 @@ def test_exact_examples_against_ball_definition():
 
 def test_exact_matches_ball_definition_on_randoms():
     rng = random.Random(5)
-    for _ in range(15):
-        n = rng.randint(2, 5)
-        k = rng.randint(1, min(3, n))
-        code = random_code(rng, F2, n, k)
-        p = random_poset(rng, n)
-        assert packing_radius_exact(code, p) == brute_packing_radius(code, p)
+    for field, max_n, max_k, trials in ((F2, 5, 3, 15), (F3, 4, 2, 8), (F5, 3, 2, 6)):
+        for _ in range(trials):
+            n = rng.randint(2, max_n)
+            k = rng.randint(1, min(max_k, n))
+            code = random_code(rng, field, n, k)
+            p = random_poset(rng, n)
+            assert packing_radius_exact(code, p) == brute_packing_radius(code, p)
 
 
 def test_hamming_closed_form():
@@ -109,13 +112,14 @@ def test_components_bound_the_radius():
 
 def test_bounds_bracket_exact():
     rng = random.Random(55)
-    for _ in range(15):
-        n = rng.randint(2, 7)
-        k = rng.randint(1, min(4, n))
-        code = random_code(rng, F2, n, k)
-        p = random_poset(rng, n)
-        b = packing_radius_bounds(code, p)
-        assert b.lower <= b.exact <= b.upper
+    for field in (F2, F3):
+        for _ in range(15):
+            n = rng.randint(2, 7)
+            k = rng.randint(1, min(4, n))
+            code = random_code(rng, field, n, k)
+            p = random_poset(rng, n)
+            b = packing_radius_bounds(code, p)
+            assert b.lower <= b.exact <= b.upper
 
 
 def test_bounds_collapse_for_hierarchical_orders():
@@ -136,6 +140,23 @@ def test_budget_exceeded_carries_requirement():
     with pytest.raises(BudgetExceededError) as err:
         packing_radius_exact(code, Poset.antichain(12), budget=1000)
     assert err.value.required == 2**12
+
+
+def test_budget_charges_minimal_supports_not_ambient_space():
+    # 3^14 ambient vectors exceed the default budget; the two minimal
+    # supports of size 7 cost 2 * 2^7.
+    code = Code.from_rows(F3, [[1] * 14, [0] * 7 + [1] * 7])
+    anti = Poset.antichain(14)
+    assert packing_radius_exact(code, anti) == (min_distance(code, anti) - 1) // 2 == 3
+
+
+def test_ideal_cache_holds_singletons_only():
+    rng = random.Random(75)
+    n = 12
+    code = random_code(rng, F2, n, 4)
+    p = random_poset(rng, n, density=0.2)
+    packing_radius_exact(code, p)
+    assert len(p._ideal_cache) <= n
 
 
 def test_ground_set_mismatch():
