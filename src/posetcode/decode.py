@@ -1,24 +1,28 @@
 """Syndrome decoding: full lookup table, support projection, independent
 and hierarchically ordered component groups, and the two leveled
-decoders with their table-size accounting."""
+decoders with their table-size accounting.
+
+A table weighs each enumerated word by the order ideals of its
+coordinates: the weight is the size of the union of those ideals over
+the word's support.  A decode plan folds its witness into per-group
+maps when it is built, so a leveled decode reads each group's syndrome
+straight off the received word and costs a few row dot products, one
+lookup per group and one output `Vector`.
+"""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Mapping
+from functools import reduce
+from operator import mul, or_, sub
+from typing import Iterable, Mapping, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import Decomposition, maximal_p_decomposition
-from .linear import (
-    Code,
-    Matrix,
-    Vector,
-    classical_rref,
-    invert_matrix,
-    p_weight,
-)
-from .poset import Poset
+from .field import PrimeField
+from .linear import Code, Matrix, Vector, apply_map, classical_rref, invert_matrix
+from .poset import Poset, cut_levels
 
 
 def parity_check(code: Code) -> Matrix:
@@ -45,60 +49,72 @@ class SyndromeTable:
     the lexicographic order on coordinate residues, so tables are
     reproducible.  `poset` is set when the weight is a plain order
     weight on the table's own coordinates; group tables inside a decode
-    plan instead carry a pulled-back weight function.
+    plan instead weigh words by the ideals their coordinates generate
+    in the full space.
     """
 
     code: Code
     parity: Matrix
     leaders: Mapping[tuple[int, ...], Vector]
     poset: Poset | None = None
-    weight: Callable[[Vector], int] | None = dataclass_field(default=None, repr=False)
 
     def syndrome(self, y: Vector) -> tuple[int, ...]:
         if len(y) != self.code.n:
             raise ValueError(f"vector length {len(y)} does not match code length {self.code.n}")
         p = self.code.field.p
-        return tuple(
-            sum(h * c for h, c in zip(row, y.coords)) % p for row in self.parity.rows
-        )
+        return tuple(sum(map(mul, row, y.coords)) % p for row in self.parity.rows)
 
     def decode(self, y: Vector) -> Vector:
-        return y - self.leaders[self.syndrome(y)]
+        if y.field != self.code.field:
+            raise ValueError(f"field mismatch: {y.field} vs {self.code.field}")
+        leader = self.leaders[self.syndrome(y)]
+        return Vector(y.field, map(sub, y.coords, leader.coords))
 
 
 def _build_table(
     code: Code,
-    weight: Callable[[Vector], int],
+    ideals: Sequence[int],
     budget: int,
     poset: Poset | None = None,
 ) -> SyndromeTable:
+    """Enumerate the ambient space and keep a least-weight word per syndrome.
+
+    `ideals[j]` is the order ideal generated by table coordinate j, as a
+    bitmask over the full space; a word weighs the number of elements
+    in the union of the ideals over its support.
+    """
     q, n, k = code.q, code.n, code.k
     check_budget("syndrome table size", q ** (n - k), budget)
     check_budget("syndrome table enumeration", q**n, budget)
     parity = parity_check(code)
+    rows = parity.rows
     p = code.field.p
-    leaders: dict[tuple[int, ...], tuple[int, Vector]] = {}
+    leaders: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     for coords in itertools.product(range(q), repeat=n):
-        v = Vector(code.field, coords)
-        s = tuple(sum(h * c for h, c in zip(row, coords)) % p for row in parity.rows)
-        w = weight(v)
+        s = tuple(sum(map(mul, row, coords)) % p for row in rows)
+        w = reduce(or_, itertools.compress(ideals, coords), 0).bit_count()
         best = leaders.get(s)
         if best is None or w < best[0]:
-            leaders[s] = (w, v)
+            leaders[s] = (w, coords)
     return SyndromeTable(
         code=code,
         parity=parity,
-        leaders={s: v for s, (w, v) in leaders.items()},
+        leaders={s: Vector(code.field, coords) for s, (w, coords) in leaders.items()},
         poset=poset,
-        weight=weight,
     )
+
+
+def _coordinate_ideals(poset: Poset, coordinates: Iterable[int]) -> list[int]:
+    """Ideal bitmask of each 1-indexed coordinate."""
+    return [poset.ideal_mask(1 << (i - 1)) for i in coordinates]
 
 
 def build_table(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) -> SyndromeTable:
     """Complete coset-leader table for the code under the order weight."""
     if poset.n != code.n:
         raise ValueError(f"poset ground set {poset.n} does not match code length {code.n}")
-    return _build_table(code, lambda v: p_weight(v, poset), budget, poset=poset)
+    ideals = _coordinate_ideals(poset, range(1, code.n + 1))
+    return _build_table(code, ideals, budget, poset=poset)
 
 
 def decode_full(table: SyndromeTable, y: Vector) -> Vector:
@@ -161,46 +177,42 @@ def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...]
     """Finest ordered partition of component indices whose consecutive
     support unions are hierarchically related, lowest group first.
 
-    Computed from the nested complete cuts of the strictly-below
-    relation between whole component supports.
+    The groups are the levels between the nested complete cuts of the
+    quotient order on components, where component i lies below
+    component j when every element of its support is strictly below
+    every element of j's.
     """
-    supports = [sorted(comp.support()) for comp in d.components]
+    supports = [comp.support() for comp in d.components]
     r = len(supports)
     below = [
-        [
-            all(poset.strictly_less(a, b) for a in supports[i] for b in supports[j])
-            for j in range(r)
-        ]
+        (i + 1, j + 1)
         for i in range(r)
+        for j in range(r)
+        if i != j and all(poset.strictly_less(a, b) for a in supports[i] for b in supports[j])
     ]
-    above_count = [sum(below[i]) for i in range(r)]
-    cuts = []
-    for size in range(r + 1):
-        cand = [i for i in range(r) if above_count[i] >= r - size]
-        if len(cand) != size:
-            continue
-        cand_set = set(cand)
-        if all(below[i][j] for i in cand for j in range(r) if j not in cand_set):
-            cuts.append(cand_set)
-    cuts.sort(key=len)
-    groups = []
-    prev: set[int] = set()
-    for cut in cuts:
-        diff = cut - prev
-        if diff:
-            groups.append(tuple(sorted(diff)))
-        prev = cut
-    return tuple(groups)
+    quotient = Poset.from_relations(r, below)
+    return tuple(tuple(i - 1 for i in level) for level in cut_levels(quotient))
 
 
 @dataclass(frozen=True)
 class PlanGroup:
-    """One ordered group of components with its projected code and table."""
+    """One ordered group of components with its projected code and table.
+
+    The remaining fields act on received words in the plan's input
+    domain.  `syndrome_rows` give the table syndrome of the group's
+    block; `leader_images` map each syndrome to its leader, unprojected
+    and carried out of the decomposed domain; `keep` carries a word
+    into the decomposed domain, keeps the coordinates of this group and
+    of every group above it, and carries the result back.
+    """
 
     indices: tuple[int, ...]
     support: tuple[int, ...]
     code: Code
     table: SyndromeTable
+    syndrome_rows: tuple[tuple[int, ...], ...] = dataclass_field(repr=False)
+    leader_images: Mapping[tuple[int, ...], tuple[int, ...]] = dataclass_field(repr=False)
+    keep: tuple[tuple[int, ...], ...] = dataclass_field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -209,11 +221,17 @@ class DecodePlan:
     grouping of decomposition components.
 
     When the decomposition describes a transformed image of the code
-    actually being decoded, `to_decomposed` carries received words into
-    the decomposed domain and `from_decomposed` carries decoded words
-    back; both are absent for plans decoding the decomposition's own
-    code.  The maps preserve the order weight, so distances agree in
-    both domains.
+    actually being decoded, `to_decomposed` (W) carries received words
+    into the decomposed domain and `from_decomposed` (W^-1) carries
+    decoded words back; both are absent, and act as the identity, for
+    plans decoding the decomposition's own code.  The maps preserve the
+    order weight, so distances agree in both domains.
+
+    Decoding never applies W or W^-1: `build_plan` folds them into each
+    group's `syndrome_rows` (H_g times the rows of W on the group's
+    support), `leader_images` (W^-1 times each unprojected leader) and
+    `keep` map (W^-1 P W, P keeping the supports of the group and the
+    groups above it).
     """
 
     decomposition: Decomposition
@@ -227,20 +245,6 @@ class DecodePlan:
     def n(self) -> int:
         return self.decomposition.code.n
 
-    def _inward(self, y: Vector) -> Vector:
-        return y if self.to_decomposed is None else _apply(self.to_decomposed, y)
-
-    def _outward(self, c: Vector) -> Vector:
-        return c if self.from_decomposed is None else _apply(self.from_decomposed, c)
-
-
-def _apply(m: Matrix, v: Vector) -> Vector:
-    p = m.field.p
-    return Vector(
-        m.field,
-        (sum(row[j] * c for j, c in enumerate(v.coords) if c) % p for row in m.rows),
-    )
-
 
 def build_plan(
     d: Decomposition,
@@ -250,38 +254,47 @@ def build_plan(
 ) -> DecodePlan:
     """Group the components hierarchically and build one table per group.
 
-    Group tables decode in the projected coordinates; leader weights are
-    evaluated by pulling vectors back to the full space with zeros on
-    the dropped coordinates.  `witness`, when given, is the weight-
+    Group tables decode in the projected coordinates; a leader's weight
+    is that of its pull-back to the full space with zeros on the
+    dropped coordinates.  `witness`, when given, is the weight-
     preserving map carrying the code to be decoded onto the
-    decomposition's code.
+    decomposition's code.  Each group also gets its syndrome rows,
+    leader images and keep map (see `DecodePlan`), so that decoding
+    needs no per-word projection or change of domain.
     """
     if poset.n != d.code.n:
         raise ValueError(f"poset ground set {poset.n} does not match code length {d.code.n}")
-    n = d.code.n
+    field, n = d.code.field, d.code.n
+    inward = Matrix.identity(field, n) if witness is None else witness
+    outward = Matrix.identity(field, n) if witness is None else invert_matrix(witness)
+    ordered = hierarchical_groups(d, poset)
+    supports = [
+        sorted(set().union(*(d.components[i].support() for i in indices)))
+        for indices in ordered
+    ]
+    zero = (0,) * n
     plan_groups = []
-    for indices in hierarchical_groups(d, poset):
-        supp: set[int] = set()
-        rows = []
-        for i in indices:
-            comp = d.components[i]
-            supp |= comp.support()
-            rows.extend(comp.gen.rows)
-        support_list = sorted(supp)
-        projected = Code(
-            Matrix(d.code.field, [[row[i - 1] for i in support_list] for row in rows])
+    for t, (indices, support_list) in enumerate(zip(ordered, supports)):
+        rows = [row for i in indices for row in d.components[i].gen.rows]
+        projected = Code(Matrix(field, [[row[i - 1] for i in support_list] for row in rows]))
+        table = _build_table(projected, _coordinate_ideals(poset, support_list), budget)
+        block = Matrix(field, [inward.rows[i - 1] for i in support_list])
+        kept = set().union(*supports[t:])
+        kept_rows = Matrix(
+            field, [row if i in kept else zero for i, row in enumerate(inward.rows, 1)]
         )
-
-        def pulled_back_weight(v: Vector, _s=tuple(support_list)) -> int:
-            return p_weight(unproject_support(list(_s), n, v), poset)
-
-        table = _build_table(projected, pulled_back_weight, budget)
         plan_groups.append(
             PlanGroup(
                 indices=indices,
                 support=tuple(support_list),
                 code=projected,
                 table=table,
+                syndrome_rows=(table.parity @ block).rows,
+                leader_images={
+                    s: apply_map(outward, unproject_support(support_list, n, leader)).coords
+                    for s, leader in table.leaders.items()
+                },
+                keep=(outward @ kept_rows).rows,
             )
         )
     return DecodePlan(
@@ -290,7 +303,7 @@ def build_plan(
         pointer_support=d.pointer_support,
         groups=tuple(plan_groups),
         to_decomposed=witness,
-        from_decomposed=None if witness is None else invert_matrix(witness),
+        from_decomposed=None if witness is None else outward,
     )
 
 
@@ -304,37 +317,50 @@ def build_plan_for_code(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) 
     return build_plan(pd.decomposition, poset, budget, witness=pd.witness)
 
 
+def _plan_field(plan: DecodePlan, y: Vector) -> PrimeField:
+    """The plan's field, once y is checked to be a word of its space."""
+    field = plan.decomposition.code.field
+    if y.field != field:
+        raise ValueError(f"field mismatch: {y.field} vs {field}")
+    if len(y) != plan.n:
+        raise ValueError(f"vector length {len(y)} does not match code length {plan.n}")
+    return field
+
+
 def decode_leveled_alg1(plan: DecodePlan, y: Vector) -> Vector:
     """Syndrome-decode every group's projection and reassemble.
 
     In the decomposed domain, coordinates outside the component supports
-    are ignored and the output is zero there.
+    are ignored and the output is zero there.  With the precomputed
+    maps this is M_0 y minus the leader image of every group's syndrome.
     """
-    n = plan.n
-    y = plan._inward(y)
-    out = Vector(y.field, [0] * n)
+    field = _plan_field(plan, y)
+    p, coords = field.p, y.coords
+    out = [sum(map(mul, row, coords)) for row in plan.groups[0].keep]
     for group in plan.groups:
-        block = project_support(list(group.support), y)
-        decoded = group.table.decode(block)
-        out = out + unproject_support(list(group.support), n, decoded)
-    return plan._outward(out)
+        s = tuple(sum(map(mul, row, coords)) % p for row in group.syndrome_rows)
+        if any(s):
+            out = list(map(sub, out, group.leader_images[s]))
+    return Vector(field, out)
 
 
 def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
     """Scan groups from the highest down; keep blocks that are codewords
     of their group, syndrome-decode the first erroneous block, and
-    leave zeros on all groups below it."""
-    n = plan.n
-    y = plan._inward(y)
-    out = Vector(y.field, [0] * n)
+    leave zeros on all groups below it.
+
+    With the precomputed maps, the first group t from the top with a
+    nonzero syndrome s gives M_t y minus its leader image of s; when no
+    group has one, the result is M_0 y.
+    """
+    field = _plan_field(plan, y)
+    p, coords = field.p, y.coords
     for group in reversed(plan.groups):
-        block = project_support(list(group.support), y)
-        if any(group.table.syndrome(block)):
-            decoded = group.table.decode(block)
-            out = out + unproject_support(list(group.support), n, decoded)
-            break
-        out = out + unproject_support(list(group.support), n, block)
-    return plan._outward(out)
+        s = tuple(sum(map(mul, row, coords)) % p for row in group.syndrome_rows)
+        if any(s):
+            kept = (sum(map(mul, row, coords)) for row in group.keep)
+            return Vector(field, map(sub, kept, group.leader_images[s]))
+    return Vector(field, (sum(map(mul, row, coords)) for row in plan.groups[0].keep))
 
 
 def table_sizes(plan: DecodePlan) -> dict[str, int]:

@@ -1,8 +1,8 @@
 """Vectors, generator matrices and linear codes over GF(p).
 
 Provides the order-weighted weight/distance pair, the right-most-pivot
-reduced row echelon form and its permutation-closed variant, and
-exhaustive minimum distance.
+reduced row echelon form and its permutation-closed variant, the image
+of a vector under a matrix, and exhaustive minimum distance.
 """
 
 from __future__ import annotations
@@ -326,6 +326,15 @@ def _reduce_against(
             factor = vec[col]
             vec = [(a - factor * b) % p for a, b in zip(vec, row)]
     return vec
+
+
+def apply_map(m: Matrix, v: Vector) -> Vector:
+    """Image of v under the map whose basis images are the columns of m."""
+    p = m.field.p
+    return Vector(
+        m.field,
+        (sum(row[j] * c for j, c in enumerate(v.coords) if c) % p for row in m.rows),
+    )
 
 
 def min_distance(code: Code, p: Poset, budget: int = DEFAULT_BUDGET) -> int:

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import components_from_matrix, degree, PDecomposition
 from .field import PrimeField
-from .linear import Code, Matrix, Vector, p_weight, row_reduce_inverse
+from .linear import Code, Matrix, Vector, apply_map, p_weight, row_reduce_inverse
 from .poset import Poset
 
 
@@ -110,15 +110,6 @@ def enum_gl_p(poset: Poset, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Is
         for reducing in enum_g_p(poset, q, budget):
             composite = reducing.matrix @ phi_matrix
             yield Isometry(composite, phi)
-
-
-def apply_map(m: Matrix, v: Vector) -> Vector:
-    """Image of v under the map whose basis images are the columns of m."""
-    p = m.field.p
-    return Vector(
-        m.field,
-        (sum(row[j] * c for j, c in enumerate(v.coords) if c) % p for row in m.rows),
-    )
 
 
 def is_isometry(m: Matrix, poset: Poset, budget: int = DEFAULT_BUDGET) -> bool:

@@ -364,18 +364,27 @@ def complete_cuts(p: Poset) -> list[frozenset[int]]:
     return [_mask_to_set(m) for m in cuts]
 
 
+def cut_levels(p: Poset) -> list[list[int]]:
+    """Consecutive differences of the nested complete cuts, bottom first.
+
+    Every element of a level lies strictly below every element of each
+    higher level; the levels are the finest partition with that
+    property.
+    """
+    levels = []
+    prev: frozenset[int] = frozenset()
+    for cut in complete_cuts(p):
+        diff = cut - prev
+        if diff:
+            levels.append(sorted(diff))
+        prev = cut
+    return levels
+
+
 def lower_neighbor(p: Poset) -> Poset:
     """Greatest hierarchical poset contained in p.
 
-    Consecutive differences of the nested complete cuts of p form its
-    levels, bottom first.
+    The levels between the nested complete cuts of p (`cut_levels`) are
+    its levels, bottom first.
     """
-    cuts = complete_cuts(p)
-    blocks = []
-    prev: frozenset[int] = frozenset()
-    for cut in cuts:
-        diff = cut - prev
-        if diff:
-            blocks.append(sorted(diff))
-        prev = cut
-    return Poset.hierarchical_from_levels(blocks)
+    return Poset.hierarchical_from_levels(cut_levels(p))

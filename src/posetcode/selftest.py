@@ -15,7 +15,7 @@ from .budget import DEFAULT_BUDGET
 from .decomp import max_degree, maximal_p_decomposition, profile
 from .decode import build_plan_for_code, build_table, decode_full, decode_leveled_alg1, decode_leveled_alg2, unproject_support
 from .field import PrimeField
-from .linear import Code, Matrix, Vector, min_distance, p_distance, p_weight
+from .linear import Code, Matrix, Vector, apply_map, min_distance, p_distance, p_weight
 from .poset import Poset, leq_poset, lower_neighbor, upper_neighbor
 from .radius import packing_radius_bounds, packing_radius_exact
 from .randgen import random_code, random_invertible, random_poset
@@ -106,8 +106,12 @@ def _decoder_optimality(rng: random.Random, budget: int) -> bool:
             best = min(p_distance(y, c, poset) for c in words)
             if p_distance(y, decode_full(table, y), poset) != best:
                 return False
+        # optimality is proven for words whose image in the decomposed
+        # domain avoids the pointer, so draw them there and carry them out
         for coords in itertools.product(range(2), repeat=len(comp_support)):
-            y = unproject_support(comp_support, n, Vector(f2, coords))
+            y = apply_map(
+                plan.from_decomposed, unproject_support(comp_support, n, Vector(f2, coords))
+            )
             best = min(p_distance(y, c, poset) for c in words)
             if p_distance(y, decode_leveled_alg1(plan, y), poset) != best:
                 return False

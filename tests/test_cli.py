@@ -249,10 +249,11 @@ class TestCommands:
 
 
 def test_selftest_command_passes(capsys):
-    assert main(["selftest", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+    for seed in ("0", "9"):
+        assert main(["selftest", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.count("PASS") >= 8
 
 
 def test_bench_command(workdir, capsys):

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from conftest import all_vectors, brute_nearest_distance
+from conftest import (
+    all_vectors,
+    brute_nearest_distance,
+    brute_weight,
+    reference_decode_alg1,
+    reference_decode_alg2,
+    reference_decode_full,
+    reference_leaders,
+)
 from posetcode.budget import BudgetExceededError
 from posetcode.decomp import components_from_matrix, maximal_p_decomposition
 from posetcode.decode import (
@@ -24,9 +32,11 @@ from posetcode.decode import (
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, Vector, p_distance
 from posetcode.poset import Poset
-from posetcode.randgen import random_code, random_poset
+from posetcode.randgen import random_code, random_hierarchical_poset, random_poset
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 class TestParityCheck:
@@ -81,6 +91,34 @@ class TestSyndromeTable:
         t1 = build_table(code, p)
         t2 = build_table(code, p)
         assert t1.leaders == t2.leaders and t1.parity == t2.parity
+
+    def test_leaders_match_reference_enumeration(self):
+        # the full table and every plan group table keep exactly the
+        # leaders of a literal scan: same words, same insertion order
+        rng = random.Random(10)
+        for field, max_n in ((F2, 7), (F3, 5), (F5, 3)):
+            for _ in range(4):
+                n = rng.randint(2, max_n)
+                code = random_code(rng, field, n, rng.randint(1, n))
+                p = random_hierarchical_poset(rng, n) if rng.random() < 0.5 else random_poset(rng, n)
+                table = build_table(code, p)
+                expected = reference_leaders(code, lambda v: brute_weight(v, p))
+                assert list(table.leaders.items()) == list(expected.items())
+                for group in build_plan_for_code(code, p).groups:
+                    support = list(group.support)
+                    expected = reference_leaders(
+                        group.code, lambda v: brute_weight(unproject_support(support, n, v), p)
+                    )
+                    assert list(group.table.leaders.items()) == list(expected.items())
+
+    def test_table_builds_leave_ideal_cache_bounded(self):
+        rng = random.Random(11)
+        n = 12
+        code = random_code(rng, F2, n, 6)
+        p = random_poset(rng, n)
+        build_table(code, p)
+        build_plan_for_code(code, p)
+        assert len(p._ideal_cache) <= n
 
     def test_budget(self):
         code = Code.from_rows(F2, [[1] + [0] * 11])
@@ -159,14 +197,31 @@ class TestGrouping:
 class TestDecoding:
     def test_codewords_decode_to_themselves(self):
         rng = random.Random(4)
-        code = random_code(rng, F2, 5, 2)
-        p = random_poset(rng, 5)
+        for field, n in ((F2, 5), (F3, 5), (F5, 3)):
+            code = random_code(rng, field, n, 2)
+            p = random_poset(rng, n)
+            table = build_table(code, p)
+            plan = build_plan_for_code(code, p)
+            for c in code.codewords():
+                assert decode_full(table, c) == c
+                assert decode_leveled_alg1(plan, c) == c
+                assert decode_leveled_alg2(plan, c) == c
+
+    def test_decoders_reject_words_of_another_field_or_length(self):
+        code = Code.from_rows(F2, [[1, 1, 0], [0, 1, 1]])
+        p = Poset.chain(3)
         table = build_table(code, p)
         plan = build_plan_for_code(code, p)
-        for c in code.codewords():
-            assert decode_full(table, c) == c
-            assert decode_leveled_alg1(plan, c) == c
-            assert decode_leveled_alg2(plan, c) == c
+        decoders = (
+            lambda y: decode_full(table, y),
+            lambda y: decode_leveled_alg1(plan, y),
+            lambda y: decode_leveled_alg2(plan, y),
+        )
+        for decode in decoders:
+            with pytest.raises(ValueError, match="field mismatch"):
+                decode(Vector(F3, [1, 2, 0]))
+            with pytest.raises(ValueError, match="length"):
+                decode(Vector(F2, [1, 0]))
 
     def test_single_hamming_error_corrected(self):
         code = Code.from_rows(F2, [[1, 1, 1]])
@@ -175,52 +230,84 @@ class TestDecoding:
 
     def test_full_decoder_is_optimal_everywhere(self):
         rng = random.Random(5)
-        for _ in range(10):
-            n = rng.randint(2, 7)
-            k = rng.randint(1, min(4, n))
-            code = random_code(rng, F2, n, k)
-            p = random_poset(rng, n)
-            table = build_table(code, p)
-            words = code.codeword_set()
-            for y in all_vectors(F2, n):
-                out = decode_full(table, y)
-                assert out in words
-                assert p_distance(y, out, p) == brute_nearest_distance(words, y, p)
+        for field, max_n in ((F2, 7), (F3, 5), (F5, 3)):
+            for _ in range(10):
+                n = rng.randint(2, max_n)
+                k = rng.randint(1, min(4, n))
+                code = random_code(rng, field, n, k)
+                p = random_poset(rng, n)
+                table = build_table(code, p)
+                words = code.codeword_set()
+                for y in all_vectors(field, n):
+                    out = decode_full(table, y)
+                    assert out in words
+                    assert p_distance(y, out, p) == brute_nearest_distance(words, y, p)
 
     def test_leveled_decoders_optimal_without_pointer_content(self):
         # received words supported on the component supports of the
         # decomposed code: both leveled decoders attain the minimum
         rng = random.Random(6)
-        for _ in range(12):
-            n = rng.randint(2, 7)
-            k = rng.randint(1, min(4, n))
-            code = random_code(rng, F2, n, k)
-            p = random_poset(rng, n)
-            d = maximal_p_decomposition(code, p).decomposition
-            plan = build_plan(d, p)
-            words = d.code.codeword_set()
-            comp_support = sorted(set().union(*(c.support() for c in d.components)))
-            for coords in itertools.product(range(2), repeat=len(comp_support)):
-                y = unproject_support(comp_support, n, Vector(F2, coords))
-                best = brute_nearest_distance(words, y, p)
-                o1 = decode_leveled_alg1(plan, y)
-                o2 = decode_leveled_alg2(plan, y)
-                assert o1 in words and o2 in words
-                assert p_distance(y, o1, p) == best
-                assert p_distance(y, o2, p) == best
+        for field, max_n in ((F2, 7), (F3, 5), (F5, 3)):
+            for _ in range(12):
+                n = rng.randint(2, max_n)
+                k = rng.randint(1, min(4, n))
+                code = random_code(rng, field, n, k)
+                p = random_poset(rng, n)
+                d = maximal_p_decomposition(code, p).decomposition
+                plan = build_plan(d, p)
+                words = d.code.codeword_set()
+                comp_support = sorted(set().union(*(c.support() for c in d.components)))
+                for coords in itertools.product(range(field.p), repeat=len(comp_support)):
+                    y = unproject_support(comp_support, n, Vector(field, coords))
+                    best = brute_nearest_distance(words, y, p)
+                    o1 = decode_leveled_alg1(plan, y)
+                    o2 = decode_leveled_alg2(plan, y)
+                    assert o1 in words and o2 in words
+                    assert p_distance(y, o1, p) == best
+                    assert p_distance(y, o2, p) == best
 
     def test_plans_for_original_code_return_its_codewords(self):
         rng = random.Random(7)
-        for _ in range(10):
-            n = rng.randint(2, 6)
-            k = rng.randint(1, min(4, n))
-            code = random_code(rng, F2, n, k)
-            p = random_poset(rng, n)
-            plan = build_plan_for_code(code, p)
-            words = code.codeword_set()
-            for y in all_vectors(F2, n):
-                assert decode_leveled_alg1(plan, y) in words
-                assert decode_leveled_alg2(plan, y) in words
+        for field, max_n in ((F2, 6), (F3, 5), (F5, 3)):
+            for _ in range(10):
+                n = rng.randint(2, max_n)
+                k = rng.randint(1, min(4, n))
+                code = random_code(rng, field, n, k)
+                p = random_poset(rng, n)
+                plan = build_plan_for_code(code, p)
+                words = code.codeword_set()
+                for y in all_vectors(field, n):
+                    assert decode_leveled_alg1(plan, y) in words
+                    assert decode_leveled_alg2(plan, y) in words
+
+    def test_decoders_match_reference(self):
+        # every decoder returns the vector of the literal path, with and
+        # without a witness, including groups whose table is the whole
+        # space and has an empty parity matrix
+        rng = random.Random(12)
+        instances = []
+        for field, max_n in ((F2, 7), (F3, 5), (F5, 3)):
+            for _ in range(6):
+                n = rng.randint(2, max_n)
+                code = random_code(rng, field, n, rng.randint(1, min(4, n)))
+                p = random_hierarchical_poset(rng, n) if rng.random() < 0.5 else random_poset(rng, n)
+                instances.append((code, p))
+            # a level of two coordinates over a full-space top level
+            stacked = Poset.hierarchical_from_levels([[1, 2], [3]])
+            instances.append((Code.from_rows(field, [[1, 1, 0], [0, 0, 1]]), stacked))
+        empty_parity = 0
+        for code, p in instances:
+            table = build_table(code, p)
+            d = maximal_p_decomposition(code, p).decomposition
+            plans = (build_plan_for_code(code, p), build_plan(d, p))
+            assert plans[1].to_decomposed is None
+            empty_parity += sum(not g.table.parity.k for plan in plans for g in plan.groups)
+            for y in all_vectors(code.field, code.n):
+                assert decode_full(table, y) == reference_decode_full(table, y)
+                for plan in plans:
+                    assert decode_leveled_alg1(plan, y) == reference_decode_alg1(plan, y)
+                    assert decode_leveled_alg2(plan, y) == reference_decode_alg2(plan, y)
+        assert empty_parity
 
     def test_ordered_scan_keeps_valid_top_and_zeroes_below_error(self):
         # two stacked components, already decomposed (identity witness):
