@@ -7,20 +7,27 @@ an exact search then re-chooses representatives wherever that lets a
 component fall apart into pieces with independent spans.  Every move is
 accumulated into a witness matrix carrying the input code onto the
 output code.
+
+Both run on the packed rows of `linear.RowKernel`.  A coset reduction
+gives each spanning column a tag slot after the k coordinates, so the
+coefficients the witness needs come out of the same reduction; the
+split search keeps its bases as tuples of packed rows, which also serve
+as the keys of the states it has visited.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .field import PrimeField
 from .linear import (
+    Basis,
     Code,
     Matrix,
     is_generalized_rref,
     p_weight,
+    row_kernel,
     row_reduce_inverse,
 )
 from .poset import Poset
@@ -191,51 +198,26 @@ def components_from_matrix(g: Matrix) -> Decomposition:
 
 def _coset_reduce(
     field: PrimeField,
-    col: list[int],
-    indexed_cols: Sequence[tuple[int, list[int]]],
+    col: Sequence[int],
+    indexed_cols: Sequence[tuple[int, Sequence[int]]],
 ) -> tuple[list[int], dict[int, int]]:
     """Canonical representative of col modulo the span of the given columns.
 
     The spanning columns are echelonized with smallest-row-index pivots;
     the returned dict gives coefficients x_j with
-    new_col = col - sum_j x_j * column_j.
+    new_col = col - sum_j x_j * column_j.  Spanning column t enters the
+    kernel with a 1 in tag slot k + t, so reducing col leaves -x_j in
+    the tag slots.
     """
-    p = field.p
-    basis: list[tuple[int, list[int], dict[int, int]]] = []
-    for j, raw in indexed_cols:
-        vec = list(raw)
-        combo = {j: 1}
-        for t, b, bc in basis:
-            if vec[t]:
-                f = vec[t]
-                vec = [(a - f * x) % p for a, x in zip(vec, b)]
-                for jj, c in bc.items():
-                    combo[jj] = (combo.get(jj, 0) - f * c) % p
-        pivot = next((t for t, a in enumerate(vec) if a), None)
-        if pivot is None:
-            continue
-        inv = field.inv(vec[pivot])
-        vec = [a * inv % p for a in vec]
-        combo = {jj: c * inv % p for jj, c in combo.items()}
-        for idx, (t, b, bc) in enumerate(basis):
-            if b[pivot]:
-                f = b[pivot]
-                new_b = [(a - f * x) % p for a, x in zip(b, vec)]
-                new_bc = dict(bc)
-                for jj, c in combo.items():
-                    new_bc[jj] = (new_bc.get(jj, 0) - f * c) % p
-                basis[idx] = (t, new_b, new_bc)
-        basis.append((pivot, vec, combo))
-    out = list(col)
-    used: dict[int, int] = {}
-    for t, b, bc in basis:
-        if out[t]:
-            f = out[t]
-            out = [(a - f * x) % p for a, x in zip(out, b)]
-            for jj, c in bc.items():
-                used[jj] = (used.get(jj, 0) + f * c) % p
-    used = {jj: c for jj, c in used.items() if c}
-    return out, used
+    k, s, p = len(col), len(indexed_cols), field.p
+    kernel = row_kernel(p, k, s)
+    basis: Basis = ()
+    for t, (_, raw) in enumerate(indexed_cols):
+        basis = kernel.extend(basis, kernel.pack(raw) | kernel.unit(k + t)) or basis
+    out = kernel.reduce(kernel.pack(col), basis)
+    tags = kernel.unpack(out, k, k + s)
+    used = {j: p - x for (j, _), x in zip(indexed_cols, tags) if x}
+    return kernel.unpack(out), used
 
 
 def _strict_ups(poset: Poset) -> list[list[int]]:
@@ -384,100 +366,67 @@ class _Canonicalizer:
         heights = self.poset.heights()
         order = sorted(support, key=lambda j: (-heights[j], j))
         local_ups = {r: [j for j in self.ups[r] if j in support_set] for r in support}
-        columns = {j: tuple(self.column(j)) for j in support}
-        p, k = self.p, self.k
+        kernel = row_kernel(self.p, self.k)
+        add, reduce, extend = kernel.add, kernel.reduce, kernel.extend
+        columns = {j: kernel.pack(self.column(j)) for j in support}
+        candidates_at: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
 
-        def reduce_vec(vec: list[int], basis: list[tuple[int, tuple[int, ...]]]) -> list[int]:
-            for pivot, b in basis:
-                if vec[pivot]:
-                    f = vec[pivot]
-                    vec = [(a - f * x) % p for a, x in zip(vec, b)]
-            return vec
-
-        def extend(basis, vec):
-            """Echelon basis plus one vector; None if vec is dependent."""
-            red = reduce_vec(list(vec), basis)
-            pivot = next((t for t, a in enumerate(red) if a), None)
-            if pivot is None:
-                return None
-            inv = self.field.inv(red[pivot])
-            red = tuple(a * inv % p for a in red)
-            out = []
-            for pv, b in basis:
-                if b[pivot]:
-                    f = b[pivot]
-                    out.append((pv, tuple((a - f * x) % p for a, x in zip(b, red))))
-                else:
-                    out.append((pv, b))
-            out.append((pivot, red))
-            out.sort()
-            return out
-
-        def basis_key(basis):
-            return tuple(b for _, b in basis)
+        def candidates(r: int) -> list[tuple[int, tuple[int, ...]]]:
+            """Nonzero col_r + sum x_j col_j over the sources j, with the
+            coefficients, in itertools.product order."""
+            if r not in candidates_at:
+                out = [(columns[r], ())]
+                for j in local_ups[r]:
+                    mult = kernel.multiples(columns[j])
+                    out = [(add(h, m), xs + (x,)) for h, xs in out for x, m in enumerate(mult)]
+                candidates_at[r] = [(h, xs) for h, xs in out if h]
+            return candidates_at[r]
 
         seen: set = set()
-        # state: (position, side bases, combined basis, per-side use flags)
-        stack = [(0, [], [], [], ({}, {}), (False, False))]
-        # each stack entry: (idx, basis1, basis2, combined, choices-per-side, used)
+        # state: (position, side bases, combined basis, chosen columns, per-side use flags);
+        # chosen columns form a linked list of (parent, column, coefficients)
+        stack = [(0, (), (), (), None, (False, False))]
         while stack:
-            idx, b1, b2, comb, choices, used = stack.pop()
+            idx, b1, b2, comb, chosen, used = stack.pop()
             if idx == len(order):
                 if used[0] and used[1]:
-                    merged = {}
-                    merged.update(choices[0])
-                    merged.update(choices[1])
-                    return {r: combo for r, (combo, _h) in merged.items() if combo}
+                    choices = {}
+                    while chosen is not None:
+                        chosen, r, xs = chosen
+                        combo = {j: x for j, x in zip(local_ups[r], xs) if x}
+                        if combo:
+                            choices[r] = combo
+                    return choices
                 continue
-            key = (idx, basis_key(b1), basis_key(b2), used)
+            key = (idx, b1, b2, used)
             if key in seen:
                 continue
             seen.add(key)
             r = order[idx]
-            sources = local_ups[r]
-            g_r = columns[r]
-            candidates: list[tuple[tuple[int, ...], dict[int, int]]] = []
-            for coeffs in itertools.product(range(p), repeat=len(sources)):
-                h = list(g_r)
-                for j, x in zip(sources, coeffs):
-                    if x:
-                        src = columns[j]
-                        for i in range(k):
-                            h[i] = (h[i] + x * src[i]) % p
-                if any(h):
-                    candidates.append((tuple(h), {j: x for j, x in zip(sources, coeffs) if x}))
             sides = (0,) if idx == 0 else (0, 1)
             for side in sides:
                 own = b1 if side == 0 else b2
-                seen_spans = set()
-                for h, combo in candidates:
-                    red_own = reduce_vec(list(h), own)
-                    if not any(red_own):
-                        new_own = own
-                    else:
-                        ext_comb = extend(comb, h)
-                        if ext_comb is None:
+                new_used = (used[0] or side == 0, used[1] or side == 1)
+                tried, seen_spans = set(), set()
+                for h, xs in candidates(r):
+                    red = reduce(h, own)
+                    if red:
+                        if red in tried:
+                            continue  # same span as an earlier candidate, or dependent
+                        tried.add(red)
+                        new_comb = extend(comb, red)
+                        if new_comb is None:
                             continue  # would intersect the other side
-                        new_own = extend(own, h)
-                        span_id = basis_key(new_own)
-                        if span_id in seen_spans:
+                        new_own = extend(own, red)
+                        if new_own in seen_spans:
                             continue
-                        seen_spans.add(span_id)
-                        new_choices = (dict(choices[0]), dict(choices[1]))
-                        new_choices[side][r] = (combo, h)
-                        new_used = (used[0] or side == 0, used[1] or side == 1)
-                        new_comb = ext_comb
-                        stack.append((idx + 1, new_own if side == 0 else b1,
-                                      new_own if side == 1 else b2,
-                                      new_comb, new_choices, new_used))
-                        continue
-                    # span unchanged on its own side: combined is unchanged too
-                    new_choices = (dict(choices[0]), dict(choices[1]))
-                    new_choices[side][r] = (combo, h)
-                    new_used = (used[0] or side == 0, used[1] or side == 1)
-                    stack.append((idx + 1, own if side == 0 else b1,
-                                  own if side == 1 else b2,
-                                  comb, new_choices, new_used))
+                        seen_spans.add(new_own)
+                    else:
+                        # span unchanged on its own side: combined is unchanged too
+                        new_own, new_comb = own, comb
+                    stack.append((idx + 1, new_own if side == 0 else b1,
+                                  new_own if side == 1 else b2,
+                                  new_comb, (chosen, r, xs), new_used))
         return None
 
 

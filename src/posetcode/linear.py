@@ -3,11 +3,22 @@
 Provides the order-weighted weight/distance pair, the right-most-pivot
 reduced row echelon form and its permutation-closed variant, the image
 of a vector under a matrix, and exhaustive minimum distance.
+
+Every row reduction runs on one packed-row kernel, `RowKernel`.  A row
+of GF(p)^m is a single Python int holding coordinate i in bits
+[i*w, (i+1)*w), with w = 1 over GF(2) and w = (2p-2).bit_length() + 1
+over odd p.  The kernel adds rows slotwise, takes multiples, reduces a
+row against a reduced echelon basis and extends a basis by one row;
+rank, both echelon forms, inversion and code membership, as well as the
+coset passes and split search of the canonical form, all go through it.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
@@ -95,6 +106,123 @@ def p_distance(u: Vector, v: Vector, p: Poset) -> int:
     return p_weight(u - v, p)
 
 
+# -- packed rows ------------------------------------------------------------
+
+Basis = tuple[tuple[int, int], ...]
+"""A reduced echelon basis of packed rows: (shift, row) pairs sorted by
+shift.  Each row's pivot, its lowest nonzero coordinate slot, starts at
+bit `shift`, holds 1, and is zero in every other row of the basis."""
+
+
+class RowKernel:
+    """Echelon arithmetic on rows of GF(p)^m packed into Python ints.
+
+    Coordinate i of a row sits in bits [i*w, (i+1)*w).  Over GF(2),
+    w = 1 and slotwise addition is xor.  Over odd p, w leaves room for
+    the sum of two residues under a guard bit: addition adds the ints
+    and subtracts p from every slot whose sum reached p, which it finds
+    by adding 2^(w-1) - p to every slot and reading the guard bits.  No
+    carry crosses a slot.  Choosing w and the addition is the only place
+    p = 2 differs; everything else is one code path.
+
+    A row may carry `tags` further slots after its m coordinates.  They
+    take part in every addition, so they can record which combination
+    of input rows a row is, but they never hold a pivot.
+    """
+
+    __slots__ = ("p", "m", "w", "slot", "add", "_coords")
+
+    def __init__(self, p: int, m: int, tags: int = 0):
+        self.p, self.m = p, m
+        if p == 2:
+            w = 1
+            add = operator.xor
+        else:
+            w = (2 * p - 2).bit_length() + 1
+            ones = ((1 << (w * (m + tags))) - 1) // ((1 << w) - 1)  # bit 0 of every slot
+            high = ones << (w - 1)
+            bias = ones * ((1 << (w - 1)) - p)
+            top = w - 1
+
+            def add(a: int, c: int) -> int:
+                s = a + c
+                return s - (((s + bias) & high) >> top) * p
+
+        self.w = w
+        self.slot = (1 << w) - 1
+        self.add = add
+        self._coords = (1 << (w * m)) - 1
+
+    def pack(self, coords: Sequence[int]) -> int:
+        """One int from residues in [0, p), coordinate 0 in the lowest slot."""
+        w = self.w
+        row = 0
+        for c in reversed(coords):
+            row = row << w | c
+        return row
+
+    def unpack(self, row: int, start: int = 0, stop: int | None = None) -> list[int]:
+        """Slots start, ..., stop - 1 (by default the m coordinates)."""
+        w, slot = self.w, self.slot
+        return [row >> (i * w) & slot for i in range(start, self.m if stop is None else stop)]
+
+    def unit(self, i: int) -> int:
+        """The row with 1 in slot i and 0 elsewhere."""
+        return 1 << (i * self.w)
+
+    def multiples(self, row: int) -> list[int]:
+        """c * row for c = 0, ..., p - 1."""
+        add = self.add
+        out = [0, row]
+        for _ in range(self.p - 2):
+            out.append(add(out[-1], row))
+        return out
+
+    def scale(self, row: int, c: int) -> int:
+        """c * row for 0 < c < p, by doubling and adding."""
+        add = self.add
+        out = row
+        for bit in bin(c)[3:]:
+            out = add(out, out)
+            if bit == "1":
+                out = add(out, row)
+        return out
+
+    def reduce(self, row: int, basis: Basis) -> int:
+        """row minus the combination of basis rows that clears its pivot slots."""
+        add, scale, slot, p = self.add, self.scale, self.slot, self.p
+        for shift, b in basis:
+            f = row >> shift & slot
+            if f:
+                row = add(row, b if f == p - 1 else scale(b, p - f))
+        return row
+
+    def extend(self, basis: Basis, row: int) -> Basis | None:
+        """The reduced echelon basis of the span of basis and row, or
+        None if the coordinates of row depend on the basis."""
+        row = self.reduce(row, basis)
+        if not row & self._coords:
+            return None
+        add, scale, slot, p = self.add, self.scale, self.slot, self.p
+        bit = (row & -row).bit_length() - 1
+        shift = bit - bit % self.w
+        f = row >> shift & slot
+        if f != 1:
+            row = scale(row, pow(f, -1, p))
+        out = []
+        for s, b in basis:
+            f = b >> shift & slot
+            if f:
+                b = add(b, row if f == p - 1 else scale(row, p - f))
+            out.append((s, b))
+        bisect.insort(out, (shift, row))
+        return tuple(out)
+
+
+row_kernel = functools.lru_cache(maxsize=256)(RowKernel)
+"""RowKernel(p, m, tags), shared between calls of the same shape."""
+
+
 class Matrix:
     """A dense k x n matrix of residues over a prime field."""
 
@@ -173,47 +301,37 @@ class Matrix:
         return g @ self.transpose()
 
     def rank(self) -> int:
-        return len(_echelon(self.field, [list(r) for r in self.rows])[0])
+        return len(_echelon(self.field, self.rows, self.n)[1])
 
 
-def _echelon(field: PrimeField, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Classical reduced row echelon form; returns nonzero rows and pivot columns."""
-    p = field.p
-    work = [r[:] for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [c * inv % p for c in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return work[:rank], pivots
+def _echelon(field: PrimeField, rows: Sequence[Sequence[int]], m: int) -> tuple[RowKernel, Basis]:
+    """Reduced echelon basis of the rows with pivots among the first m
+    coordinates; rows dependent there are dropped, and coordinates past
+    m ride along as tags."""
+    kernel = row_kernel(field.p, m, (len(rows[0]) if rows else m) - m)
+    basis: Basis = ()
+    for row in rows:
+        basis = kernel.extend(basis, kernel.pack(row)) or basis
+    return kernel, basis
 
 
 def classical_rref(g: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Left-most-pivot reduced row echelon form, zero rows dropped."""
-    rows, pivots = _echelon(g.field, [list(r) for r in g.rows])
-    return Matrix(g.field, rows, n=g.n), tuple(pivots)
+    kernel, basis = _echelon(g.field, g.rows, g.n)
+    rows = [kernel.unpack(b) for _, b in basis]
+    return Matrix(g.field, rows, n=g.n), tuple(shift // kernel.w for shift, _ in basis)
 
 
 def invert_matrix(m: Matrix) -> Matrix:
     """Inverse of a square matrix; raises on singular input."""
     if m.k != m.n:
         raise ValueError(f"cannot invert a {m.k}x{m.n} matrix")
-    augmented = [list(row) + [1 if i == j else 0 for j in range(m.n)] for i, row in enumerate(m.rows)]
-    rows, pivots = _echelon(m.field, augmented)
-    if list(pivots) != list(range(m.n)):
+    n = m.n
+    augmented = [row + tuple(1 if i == j else 0 for j in range(n)) for i, row in enumerate(m.rows)]
+    kernel, basis = _echelon(m.field, augmented, n)
+    if len(basis) != n:
         raise ValueError("matrix is singular")
-    return Matrix(m.field, [r[m.n:] for r in rows], n=m.n)
+    return Matrix(m.field, [kernel.unpack(b, n, 2 * n) for _, b in basis], n=n)
 
 
 def row_reduce_inverse(g: Matrix) -> Matrix:
@@ -223,11 +341,10 @@ def row_reduce_inverse(g: Matrix) -> Matrix:
     j(1) > j(2) > ... > j(k); each pivot column carries a single
     nonzero entry, normalized to 1.  Rejects rank-deficient input.
     """
-    reversed_rows = [list(r)[::-1] for r in g.rows]
-    rows, _ = _echelon(g.field, reversed_rows)
-    if len(rows) != g.k:
-        raise ValueError(f"rank deficiency: rank {len(rows)} < {g.k} rows")
-    return Matrix(g.field, [r[::-1] for r in rows], n=g.n)
+    kernel, basis = _echelon(g.field, [r[::-1] for r in g.rows], g.n)
+    if len(basis) != g.k:
+        raise ValueError(f"rank deficiency: rank {len(basis)} < {g.k} rows")
+    return Matrix(g.field, [kernel.unpack(b)[::-1] for _, b in basis], n=g.n)
 
 
 def _pivot_columns_rightmost(g: Matrix) -> list[int] | None:
@@ -312,20 +429,8 @@ class Code:
     def contains(self, v: Vector) -> bool:
         if v.field != self.field or len(v) != self.n:
             return False
-        rows, pivots = _echelon(self.field, [list(r) for r in self.gen.rows])
-        residue = _reduce_against(self.field, list(v.coords), rows, pivots)
-        return not any(residue)
-
-
-def _reduce_against(
-    field: PrimeField, vec: list[int], echelon_rows: list[list[int]], pivots: Sequence[int]
-) -> list[int]:
-    p = field.p
-    for row, col in zip(echelon_rows, pivots):
-        if vec[col]:
-            factor = vec[col]
-            vec = [(a - factor * b) % p for a, b in zip(vec, row)]
-    return vec
+        kernel, basis = _echelon(self.field, self.gen.rows, self.n)
+        return not kernel.reduce(kernel.pack(v.coords), basis)
 
 
 def apply_map(m: Matrix, v: Vector) -> Vector:

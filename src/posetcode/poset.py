@@ -162,7 +162,11 @@ class Poset:
     # -- ideals ------------------------------------------------------
 
     def ideal_mask(self, mask: int) -> int:
-        """Downward closure of a 0-indexed bitmask of elements."""
+        """Downward closure of a 0-indexed bitmask of elements.
+
+        Only single-element closures are cached, so the cache holds at
+        most n entries whatever the callers ask for.
+        """
         cached = self._ideal_cache.get(mask)
         if cached is not None:
             return cached
@@ -172,7 +176,8 @@ class Poset:
             i = (m & -m).bit_length() - 1
             closed |= self._down[i]
             m &= m - 1
-        self._ideal_cache[mask] = closed
+        if mask and not mask & (mask - 1):
+            self._ideal_cache[mask] = closed
         return closed
 
     def ideal(self, elements: Iterable[int]) -> frozenset[int]:

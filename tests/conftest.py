@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 
 from posetcode.decode import parity_check, unproject_support
+from posetcode.decomp import _Canonicalizer
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, Vector, p_distance
 from posetcode.poset import Poset
@@ -155,3 +156,235 @@ def reference_decode_alg2(plan, y: Vector) -> Vector:
             break
         out = out + received
     return _reference_apply(plan.from_decomposed, out)
+
+
+# -- reference canonicalizer ----------------------------------------------
+#
+# The list-based echelon arithmetic the packed-row kernel replaced: row
+# reduction, coset reduction with explicit combination dictionaries, and
+# the split search reducing and extending coordinate lists.  Only the
+# moves that touch row reduction are overridden; scoring, snapshots and
+# component grouping are shared with the library.
+
+
+def reference_echelon(field: PrimeField, rows: list[list[int]]) -> list[list[int]]:
+    """Classical reduced row echelon form, zero rows dropped."""
+    p = field.p
+    work = [r[:] for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot_row = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = field.inv(work[rank][col])
+        work[rank] = [c * inv % p for c in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return work[:rank]
+
+
+def reference_row_reduce_inverse(field: PrimeField, rows) -> list[list[int]]:
+    """Right-most-pivot reduced form of full-rank rows."""
+    reduced = reference_echelon(field, [list(r)[::-1] for r in rows])
+    assert len(reduced) == len(rows), "reference input must have full rank"
+    return [r[::-1] for r in reduced]
+
+
+def reference_coset_reduce(field: PrimeField, col, indexed_cols):
+    """Canonical representative of col modulo the span of the columns,
+    and coefficients x_j with new_col = col - sum_j x_j * column_j."""
+    p = field.p
+    basis: list[tuple[int, list[int], dict[int, int]]] = []
+    for j, raw in indexed_cols:
+        vec = list(raw)
+        combo = {j: 1}
+        for t, b, bc in basis:
+            if vec[t]:
+                f = vec[t]
+                vec = [(a - f * x) % p for a, x in zip(vec, b)]
+                for jj, c in bc.items():
+                    combo[jj] = (combo.get(jj, 0) - f * c) % p
+        pivot = next((t for t, a in enumerate(vec) if a), None)
+        if pivot is None:
+            continue
+        inv = field.inv(vec[pivot])
+        vec = [a * inv % p for a in vec]
+        combo = {jj: c * inv % p for jj, c in combo.items()}
+        for idx, (t, b, bc) in enumerate(basis):
+            if b[pivot]:
+                f = b[pivot]
+                new_b = [(a - f * x) % p for a, x in zip(b, vec)]
+                new_bc = dict(bc)
+                for jj, c in combo.items():
+                    new_bc[jj] = (new_bc.get(jj, 0) - f * c) % p
+                basis[idx] = (t, new_b, new_bc)
+        basis.append((pivot, vec, combo))
+    out = list(col)
+    used: dict[int, int] = {}
+    for t, b, bc in basis:
+        if out[t]:
+            f = out[t]
+            out = [(a - f * x) % p for a, x in zip(out, b)]
+            for jj, c in bc.items():
+                used[jj] = (used.get(jj, 0) + f * c) % p
+    return out, {jj: c for jj, c in used.items() if c}
+
+
+class ReferenceCanonicalizer(_Canonicalizer):
+    def __init__(self, g: Matrix, poset: Poset):
+        super().__init__(g, poset)
+        self.rows = reference_row_reduce_inverse(self.field, g.rows)
+
+    def _rereduce(self) -> None:
+        self.rows = reference_row_reduce_inverse(self.field, self.rows)
+
+    def coset_passes(self) -> None:
+        seen: set[tuple[tuple[int, ...], ...]] = set()
+        while True:
+            key = tuple(tuple(r) for r in self.rows)
+            if key in seen:
+                return
+            seen.add(key)
+            changed = False
+            for r in range(self.n - 1, -1, -1):
+                above = self.ups[r]
+                if not above:
+                    continue
+                col = self.column(r)
+                new_col, combo = reference_coset_reduce(
+                    self.field, col, [(j, self.column(j)) for j in above]
+                )
+                if new_col != col:
+                    changed = True
+                    for i in range(self.k):
+                        self.rows[i][r] = new_col[i]
+                    for j, x in combo.items():
+                        self._witness_add_row(r, j, -x)
+            self._rereduce()
+            if not changed:
+                return
+
+    def apply_split(self, choices) -> None:
+        originals = {r: self.column(r) for r in choices}
+        originals.update({j: self.column(j) for combo in choices.values() for j in combo})
+        new_witness_rows = {}
+        for r, combo in choices.items():
+            col = originals[r][:]
+            for j, x in combo.items():
+                col = [(a + x * b) % self.p for a, b in zip(col, originals[j])]
+            for i in range(self.k):
+                self.rows[i][r] = col[i]
+            wr = self.witness[r][:]
+            for j, x in combo.items():
+                wr = [(a + x * b) % self.p for a, b in zip(wr, self.witness[j])]
+            new_witness_rows[r] = wr
+        for r, wr in new_witness_rows.items():
+            self.witness[r] = wr
+        self._rereduce()
+
+    def _split_component(self, support):
+        support_set = set(support)
+        heights = self.poset.heights()
+        order = sorted(support, key=lambda j: (-heights[j], j))
+        local_ups = {r: [j for j in self.ups[r] if j in support_set] for r in support}
+        columns = {j: tuple(self.column(j)) for j in support}
+        p, k = self.p, self.k
+
+        def reduce_vec(vec, basis):
+            for pivot, b in basis:
+                if vec[pivot]:
+                    f = vec[pivot]
+                    vec = [(a - f * x) % p for a, x in zip(vec, b)]
+            return vec
+
+        def extend(basis, vec):
+            red = reduce_vec(list(vec), basis)
+            pivot = next((t for t, a in enumerate(red) if a), None)
+            if pivot is None:
+                return None
+            inv = self.field.inv(red[pivot])
+            red = tuple(a * inv % p for a in red)
+            out = []
+            for pv, b in basis:
+                if b[pivot]:
+                    f = b[pivot]
+                    out.append((pv, tuple((a - f * x) % p for a, x in zip(b, red))))
+                else:
+                    out.append((pv, b))
+            out.append((pivot, red))
+            out.sort()
+            return out
+
+        def basis_key(basis):
+            return tuple(b for _, b in basis)
+
+        seen: set = set()
+        stack = [(0, [], [], [], ({}, {}), (False, False))]
+        while stack:
+            idx, b1, b2, comb, choices, used = stack.pop()
+            if idx == len(order):
+                if used[0] and used[1]:
+                    merged = {**choices[0], **choices[1]}
+                    return {r: combo for r, combo in merged.items() if combo}
+                continue
+            key = (idx, basis_key(b1), basis_key(b2), used)
+            if key in seen:
+                continue
+            seen.add(key)
+            r = order[idx]
+            sources = local_ups[r]
+            candidates = []
+            for coeffs in itertools.product(range(p), repeat=len(sources)):
+                h = list(columns[r])
+                for j, x in zip(sources, coeffs):
+                    if x:
+                        h = [(a + x * b) % p for a, b in zip(h, columns[j])]
+                if any(h):
+                    candidates.append((tuple(h), {j: x for j, x in zip(sources, coeffs) if x}))
+            for side in (0,) if idx == 0 else (0, 1):
+                own = b1 if side == 0 else b2
+                seen_spans = set()
+                for h, combo in candidates:
+                    new_choices = (dict(choices[0]), dict(choices[1]))
+                    new_choices[side][r] = combo
+                    new_used = (used[0] or side == 0, used[1] or side == 1)
+                    if not any(reduce_vec(list(h), own)):
+                        # span unchanged on its own side: combined is unchanged too
+                        new_own, new_comb = own, comb
+                    else:
+                        new_comb = extend(comb, h)
+                        if new_comb is None:
+                            continue  # would intersect the other side
+                        new_own = extend(own, h)
+                        if basis_key(new_own) in seen_spans:
+                            continue
+                        seen_spans.add(basis_key(new_own))
+                    stack.append((idx + 1, new_own if side == 0 else b1,
+                                  new_own if side == 1 else b2,
+                                  new_comb, new_choices, new_used))
+        return None
+
+
+def reference_canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:
+    """canonical_form driven by the reference canonicalizer."""
+    state = ReferenceCanonicalizer(g, poset)
+    state.coset_passes()
+    for _ in range(state.n + 2):
+        before = state.score()
+        snap = state.snapshot()
+        state.coset_passes()
+        if state.score() < before:
+            state.restore(snap)
+        split = state.find_split()
+        if split is None:
+            break
+        before = state.score()
+        state.apply_split(split)
+        assert state.score() > before, "split application did not refine the decomposition"
+    else:
+        raise AssertionError("decomposition refinement did not settle")
+    return Matrix(state.field, state.rows, n=state.n), Matrix(state.field, state.witness)

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import reference_canonical_form
 from posetcode import oracle
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, row_reduce_inverse
@@ -23,6 +25,8 @@ from posetcode.poset import Poset, leq_poset, lower_neighbor, upper_neighbor
 from posetcode.randgen import random_code, random_invertible, random_poset
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 # 3x6 binary generator with published canonical forms under two orders
 SIX_COL_G = Matrix(F2, [[0, 0, 1, 1, 0, 1], [1, 0, 1, 1, 1, 0], [1, 1, 0, 0, 0, 0]])
@@ -209,20 +213,36 @@ class TestCanonicalForm:
 
     def test_witness_stays_in_reducing_group(self):
         rng = random.Random(21)
-        for _ in range(25):
-            n = rng.randint(2, 6)
-            k = rng.randint(1, n)
-            code = random_code(rng, F2, n, k)
-            p = random_poset(rng, n)
-            pd = maximal_p_decomposition(code, p)
-            assert witness_in_reducing_group(pd.witness, p)
-            validate_p_decomposition(pd, p)
+        for field in (F2, F3, F5):
+            for _ in range(25):
+                n = rng.randint(2, 6)
+                k = rng.randint(1, n)
+                code = random_code(rng, field, n, k)
+                p = random_poset(rng, n)
+                pd = maximal_p_decomposition(code, p)
+                assert witness_in_reducing_group(pd.witness, p)
+                validate_p_decomposition(pd, p)
 
     def test_oracle_agreement_small(self):
         rng = random.Random(31)
-        for p in oracle.enum_posets(3):
-            code = random_code(rng, F2, 3, rng.randint(1, 2))
-            assert max_degree(code, p) == oracle.brute_max_degree(code, p)
+        for field in (F2, F3):
+            for p in oracle.enum_posets(3):
+                code = random_code(rng, field, 3, rng.randint(1, 2))
+                assert max_degree(code, p) == oracle.brute_max_degree(code, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((2, 3, 5)), st.integers(1, 8), st.integers(0, 2**32))
+    def test_matches_list_based_reference(self, q, n, seed):
+        rng = random.Random(seed)
+        field = PrimeField(q)
+        k = rng.randint(1, n)
+        code = random_code(rng, field, n, k)
+        p = random_poset(rng, n)
+        gstar, witness = canonical_form(code.gen, p)
+        ref_gstar, ref_witness = reference_canonical_form(code.gen, p)
+        assert gstar.rows == ref_gstar.rows
+        assert witness.rows == ref_witness.rows
+        validate_p_decomposition(maximal_p_decomposition(code, p), p)
 
 
 class TestProfileAndDegree:
@@ -239,14 +259,15 @@ class TestProfileAndDegree:
 
     def test_profile_sums(self):
         rng = random.Random(41)
-        for _ in range(30):
-            n = rng.randint(2, 7)
-            k = rng.randint(1, n)
-            code = random_code(rng, F2, n, k)
-            p = random_poset(rng, n)
-            entries = list(profile(maximal_p_decomposition(code, p).decomposition))
-            assert sum(ni for ni, _ in entries) == n
-            assert sum(ki for _, ki in entries[1:]) == k
+        for field in (F2, F3, F5):
+            for _ in range(30):
+                n = rng.randint(2, 7)
+                k = rng.randint(1, n)
+                code = random_code(rng, field, n, k)
+                p = random_poset(rng, n)
+                entries = list(profile(maximal_p_decomposition(code, p).decomposition))
+                assert sum(ni for ni, _ in entries) == n
+                assert sum(ki for _, ki in entries[1:]) == k
 
     def test_degree_of_trivial_decomposition_is_zero(self):
         code = Code.from_rows(F2, [[1, 1, 0, 1]])
@@ -268,21 +289,22 @@ class TestProfileAndDegree:
 
     def test_profile_uniqueness_small_sweep(self):
         rng = random.Random(51)
-        for _ in range(40):
-            n = rng.randint(2, 6)
-            k = rng.randint(1, n)
-            code = random_code(rng, F2, n, k)
-            p = random_poset(rng, n)
-            base = profile(maximal_p_decomposition(code, p).decomposition)
-            scrambled = Code(random_invertible(rng, F2, k) @ code.gen)
-            assert base.matches_up_to_order(
-                profile(maximal_p_decomposition(scrambled, p).decomposition)
-            )
-            iso = oracle.random_reducing_isometry(p, 2, rng)
-            moved = Code(iso.apply_to_rows(code.gen))
-            assert base.matches_up_to_order(
-                profile(maximal_p_decomposition(moved, p).decomposition)
-            )
+        for field in (F2, F3, F5):
+            for _ in range(40):
+                n = rng.randint(2, 6)
+                k = rng.randint(1, n)
+                code = random_code(rng, field, n, k)
+                p = random_poset(rng, n)
+                base = profile(maximal_p_decomposition(code, p).decomposition)
+                scrambled = Code(random_invertible(rng, field, k) @ code.gen)
+                assert base.matches_up_to_order(
+                    profile(maximal_p_decomposition(scrambled, p).decomposition)
+                )
+                iso = oracle.random_reducing_isometry(p, field.p, rng)
+                moved = Code(iso.apply_to_rows(code.gen))
+                assert base.matches_up_to_order(
+                    profile(maximal_p_decomposition(moved, p).decomposition)
+                )
 
     def test_degree_monotone_in_poset_order(self):
         rng = random.Random(61)

@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_vectors, brute_weight
+from conftest import all_vectors, brute_weight, reference_echelon
 from posetcode.budget import BudgetExceededError
 from posetcode.field import PrimeField
 from posetcode.linear import (
     Code,
     Matrix,
+    RowKernel,
     Vector,
     classical_rref,
     invert_matrix,
@@ -245,3 +246,92 @@ def test_vector_arithmetic_roundtrip(p, data):
     v = Vector(field, data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
     assert (u + v) - v == u
     assert u - u == Vector(field, [0] * n)
+
+
+def test_min_distance_leaves_ideal_cache_bounded():
+    rng = random.Random(17)
+    n = 16
+    code = random_code(rng, F2, n, 10)
+    p = random_poset(rng, n)
+    min_distance(code, p)
+    assert len(p._ideal_cache) <= n
+
+
+# -- packed-row kernel ----------------------------------------------------
+
+KERNEL_PRIMES = (2, 3, 5, 7, 65521)  # 65521: the largest prime PrimeField accepts
+
+
+def _coords(draw, p: int, m: int) -> list[int]:
+    return draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_PRIMES), st.data())
+def test_kernel_pack_add_and_multiples_match_residues(p, data):
+    m = data.draw(st.integers(0, 12))
+    tags = data.draw(st.integers(0, 4))
+    kernel = RowKernel(p, m, tags)
+    a = _coords(data.draw, p, m + tags)
+    b = _coords(data.draw, p, m + tags)
+    pa, pb = kernel.pack(a), kernel.pack(b)
+    assert kernel.unpack(pa, 0, m + tags) == a
+    assert kernel.unpack(pa) == a[:m]
+    assert kernel.unpack(pa, m, m + tags) == a[m:]
+    assert kernel.unpack(kernel.add(pa, pb), 0, m + tags) == [(x + y) % p for x, y in zip(a, b)]
+    multiples = kernel.multiples(pa)
+    assert len(multiples) == p
+    for c in data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)):
+        expected = [c * x % p for x in a]
+        assert kernel.unpack(multiples[c], 0, m + tags) == expected
+        if c:
+            assert kernel.unpack(kernel.scale(pa, c), 0, m + tags) == expected
+    for i in range(m + tags):
+        assert kernel.unpack(kernel.unit(i), 0, m + tags) == [int(t == i) for t in range(m + tags)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KERNEL_PRIMES), st.data())
+def test_kernel_extend_builds_the_classical_rref(p, data):
+    field = PrimeField(p)
+    m = data.draw(st.integers(1, 8))
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m), max_size=6))
+    # low rank on purpose: repeat combinations of earlier rows
+    for _ in range(data.draw(st.integers(0, 2))):
+        if rows:
+            c = data.draw(st.integers(0, p - 1))
+            rows.append([(c * x + y) % p for x, y in zip(rows[0], rows[-1])])
+    kernel = RowKernel(p, m)
+    basis = ()
+    for row in rows:
+        packed = kernel.pack(row)
+        grown = kernel.extend(basis, packed)
+        if grown is None:
+            assert kernel.reduce(packed, basis) == 0
+        else:
+            assert len(grown) == len(basis) + 1
+            basis = grown
+    expected = reference_echelon(field, rows)
+    assert [kernel.unpack(b) for _, b in basis] == expected
+    if rows:
+        g = Matrix(field, rows)
+        assert [list(r) for r in classical_rref(g)[0].rows] == expected
+        assert g.rank() == len(expected)
+        assert list(classical_rref(g)[1]) == [shift // kernel.w for shift, _ in basis]
+    for row in rows:
+        assert kernel.reduce(kernel.pack(row), basis) == 0
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_tags_carry_the_inverse(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for n in range(1, 6):
+        m = random_matrix(rng, field, n, n)
+        if m.rank() < n:
+            with pytest.raises(ValueError, match="singular"):
+                invert_matrix(m)
+            continue
+        assert m @ invert_matrix(m) == Matrix.identity(field, n)
+        anti_identity = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+        assert row_reduce_inverse(m) == Matrix(field, anti_identity)
