@@ -19,7 +19,7 @@ from operator import mul, or_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .decomp import Decomposition, maximal_p_decomposition
+from .decomp import Decomposition, _row_graph_groups, maximal_p_decomposition
 from .field import PrimeField
 from .linear import Code, Matrix, Vector, apply_map, classical_rref, invert_matrix
 from .poset import Poset, cut_levels
@@ -146,24 +146,7 @@ def independent_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...],
     ideals = [
         poset.ideal_mask(_support_mask(comp.support())) for comp in d.components
     ]
-    r = len(ideals)
-    unassigned = set(range(r))
-    groups = []
-    while unassigned:
-        seed = min(unassigned)
-        group = {seed}
-        mask = ideals[seed]
-        grew = True
-        while grew:
-            grew = False
-            for i in sorted(unassigned - group):
-                if ideals[i] & mask:
-                    group.add(i)
-                    mask |= ideals[i]
-                    grew = True
-        groups.append(tuple(sorted(group)))
-        unassigned -= group
-    return tuple(groups)
+    return tuple(tuple(group) for group in _row_graph_groups(ideals))
 
 
 def _support_mask(supp: frozenset[int]) -> int:

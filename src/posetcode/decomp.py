@@ -8,11 +8,13 @@ component fall apart into pieces with independent spans.  Every move is
 accumulated into a witness matrix carrying the input code onto the
 output code.
 
-Both run on the packed rows of `linear.RowKernel`.  A coset reduction
-gives each spanning column a tag slot after the k coordinates, so the
-coefficients the witness needs come out of the same reduction; the
-split search keeps its bases as tuples of packed rows, which also serve
-as the keys of the states it has visited.
+Both run on the packed rows of `linear.RowKernel`, one int per
+coordinate j holding column j of the generator in its coordinate slots
+and row j of the witness in its tag slots.  A move on column j takes
+the same combination of witness rows as of columns, so a single kernel
+addition carries out both; the split search keeps its bases as tuples
+of packed columns, which also serve as the keys of the states it has
+visited.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .field import PrimeField
-from .linear import (
-    Basis,
-    Code,
-    Matrix,
-    is_generalized_rref,
-    p_weight,
-    row_kernel,
-    row_reduce_inverse,
-)
+from .linear import Basis, Code, Matrix, RowKernel, is_generalized_rref, p_weight, row_kernel
 from .poset import Poset
 
 
@@ -155,7 +148,11 @@ def _row_support_masks(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _row_graph_groups(masks: Sequence[int]) -> list[list[int]]:
-    """Connected components of the rows-share-a-column graph."""
+    """Connected components of the graph joining indices whose masks
+    intersect, in order of their smallest index, each sorted.
+
+    Rows sharing a column, columns sharing a row and components sharing
+    an ideal are all grouped here; a zero mask stands alone."""
     unassigned = set(range(len(masks)))
     groups: list[list[int]] = []
     while unassigned:
@@ -196,30 +193,6 @@ def components_from_matrix(g: Matrix) -> Decomposition:
     return Decomposition(Code(g), components, pointer)
 
 
-def _coset_reduce(
-    field: PrimeField,
-    col: Sequence[int],
-    indexed_cols: Sequence[tuple[int, Sequence[int]]],
-) -> tuple[list[int], dict[int, int]]:
-    """Canonical representative of col modulo the span of the given columns.
-
-    The spanning columns are echelonized with smallest-row-index pivots;
-    the returned dict gives coefficients x_j with
-    new_col = col - sum_j x_j * column_j.  Spanning column t enters the
-    kernel with a 1 in tag slot k + t, so reducing col leaves -x_j in
-    the tag slots.
-    """
-    k, s, p = len(col), len(indexed_cols), field.p
-    kernel = row_kernel(p, k, s)
-    basis: Basis = ()
-    for t, (_, raw) in enumerate(indexed_cols):
-        basis = kernel.extend(basis, kernel.pack(raw) | kernel.unit(k + t)) or basis
-    out = kernel.reduce(kernel.pack(col), basis)
-    tags = kernel.unpack(out, k, k + s)
-    used = {j: p - x for (j, _), x in zip(indexed_cols, tags) if x}
-    return kernel.unpack(out), used
-
-
 def _strict_ups(poset: Poset) -> list[list[int]]:
     """For each 0-indexed column r, the 0-indexed columns strictly above it."""
     return [
@@ -228,8 +201,32 @@ def _strict_ups(poset: Poset) -> list[list[int]]:
     ]
 
 
+def _coset_representative(
+    kernel: RowKernel, cols: Sequence[int], r: int, above: Sequence[int]
+) -> int:
+    """Canonical representative of cols[r] modulo the span of the cols[j],
+    j in `above`.
+
+    The spanning columns are echelonized in the order given, skipping any
+    whose coordinates depend on the earlier ones, so pivots sit at the
+    smallest row indices.  Tag slots ride along: they take the same
+    combination of the spanning columns as the coordinates.
+    """
+    basis: Basis = ()
+    for j in above:
+        basis = kernel.extend(basis, cols[j]) or basis
+    return kernel.reduce(cols[r], basis)
+
+
 class _Canonicalizer:
-    """Carries the working rows and the accumulated witness map.
+    """Carries the working generator and the accumulated witness map.
+
+    The whole state is `cols`, one row of `row_kernel(p, k, n)` per
+    coordinate j: its k coordinate slots hold column j of the generator
+    and its n tag slots hold row j of the witness.  Every move adds
+    multiples of some columns to a column, and the witness must take the
+    same combination of its rows, so one kernel addition moves both.
+    Row reduction acts on the coordinate slots alone.
 
     Two kinds of weight-preserving moves are applied.  Coset passes
     replace each column by the canonical representative of its coset
@@ -246,34 +243,38 @@ class _Canonicalizer:
         self.n, self.k = g.n, g.k
         self.poset = poset
         self.ups = _strict_ups(poset)
-        self.rows = [list(r) for r in row_reduce_inverse(g).rows]
-        self.witness = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+        self.kernel = kernel = row_kernel(self.p, self.k, self.n)
+        self.cols = [kernel.pack(g.column(j)) | kernel.unit(self.k + j) for j in range(self.n)]
+        self.rereduce()
 
-    def column(self, j: int) -> list[int]:
-        return [self.rows[i][j] for i in range(self.k)]
+    def rereduce(self) -> None:
+        """Bring the generator rows to right-most-pivot reduced form.
+
+        Pivot columns are picked greedily from the right, and every
+        column is replaced by its coordinates over them, the i-th pivot
+        giving row i.  Rejects rank-deficient rows.
+        """
+        k, p, coords = self.k, self.p, self.kernel.coords
+        scratch = row_kernel(p, k, k)
+        basis: Basis = ()
+        rank = 0
+        for c in reversed(self.cols):
+            if rank == k:
+                break
+            # tagging pivot i with -1 leaves +(coordinates) in the tags of a reduced column
+            extended = scratch.extend(basis, c & coords | (p - 1) * scratch.unit(k + rank))
+            if extended is not None:
+                basis, rank = extended, rank + 1
+        if rank < k:
+            raise ValueError(f"rank deficiency: rank {rank} < {k} rows")
+        shift, reduce = scratch.w * k, scratch.reduce
+        self.cols = [c & ~coords | reduce(c & coords, basis) >> shift for c in self.cols]
 
     def score(self) -> int:
         """Component count plus null-column count; the degree up to a
         constant depending only on the original code."""
-        masks = _row_support_masks(self.rows)
-        covered = 0
-        for m in masks:
-            covered |= m
-        nulls = self.n - bin(covered).count("1")
-        return len(_row_graph_groups(masks)) + nulls
-
-    def snapshot(self) -> tuple[list[list[int]], list[list[int]]]:
-        return [r[:] for r in self.rows], [r[:] for r in self.witness]
-
-    def restore(self, snap) -> None:
-        self.rows = [r[:] for r in snap[0]]
-        self.witness = [r[:] for r in snap[1]]
-
-    def _witness_add_row(self, r: int, j: int, coeff: int) -> None:
-        # accumulate T(e_j) = e_j + coeff * e_r on the witness
-        wr, wj = self.witness[r], self.witness[j]
-        for t in range(self.n):
-            wr[t] = (wr[t] + coeff * wj[t]) % self.p
+        # columns join when their nonzero slots share a row; a null column stands alone
+        return len(_row_graph_groups([self.kernel.nonzero(c) for c in self.cols]))
 
     def coset_passes(self) -> None:
         """Right-to-left column reduction, re-reducing rows between
@@ -284,31 +285,20 @@ class _Canonicalizer:
         the accumulated witness remains valid for it, so the first
         repeat is a sound deterministic stopping point.
         """
-        seen: set[tuple[tuple[int, ...], ...]] = set()
+        seen: set[tuple[int, ...]] = set()
         while True:
-            key = tuple(tuple(r) for r in self.rows)
+            key = tuple(c & self.kernel.coords for c in self.cols)
             if key in seen:
                 return
             seen.add(key)
             changed = False
+            cols = self.cols
             for r in range(self.n - 1, -1, -1):
-                above = self.ups[r]
-                if not above:
-                    continue
-                col = self.column(r)
-                new_col, combo = _coset_reduce(
-                    self.field, col, [(j, self.column(j)) for j in above]
-                )
-                if new_col != col:
-                    changed = True
-                    for i in range(self.k):
-                        self.rows[i][r] = new_col[i]
-                    for j, x in combo.items():
-                        self._witness_add_row(r, j, -x)
-            self.rows = [
-                list(r)
-                for r in row_reduce_inverse(Matrix(self.field, self.rows, n=self.n)).rows
-            ]
+                if self.ups[r]:
+                    rep = _coset_representative(self.kernel, cols, r, self.ups[r])
+                    if rep != cols[r]:
+                        cols[r], changed = rep, True
+            self.rereduce()
             if not changed:
                 return
 
@@ -316,27 +306,14 @@ class _Canonicalizer:
         """Replace the chosen columns simultaneously; choices[r] maps
         source columns j above r to coefficients x with
         new col_r = col_r + sum x * col_j."""
-        originals = {r: self.column(r) for r in choices}
-        sources = {j for combo in choices.values() for j in combo}
-        originals.update({j: self.column(j) for j in sources})
-        new_witness_rows = {}
+        old = tuple(self.cols)
+        add, scale = self.kernel.add, self.kernel.scale
         for r, combo in choices.items():
-            col = originals[r][:]
+            col = old[r]
             for j, x in combo.items():
-                src = originals[j]
-                for i in range(self.k):
-                    col[i] = (col[i] + x * src[i]) % self.p
-            for i in range(self.k):
-                self.rows[i][r] = col[i]
-            wr = self.witness[r][:]
-            for j, x in combo.items():
-                wj = self.witness[j]
-                for t in range(self.n):
-                    wr[t] = (wr[t] + x * wj[t]) % self.p
-            new_witness_rows[r] = wr
-        for r, wr in new_witness_rows.items():
-            self.witness[r] = wr
-        self.rows = [list(r) for r in row_reduce_inverse(Matrix(self.field, self.rows, n=self.n)).rows]
+                col = add(col, scale(old[j], x))
+            self.cols[r] = col
+        self.rereduce()
 
     def find_split(self) -> dict[int, dict[int, int]] | None:
         """Search every current component for a reachable two-way split.
@@ -346,16 +323,17 @@ class _Canonicalizer:
         component's support); a split is a side assignment whose two
         span sets stay independent.  Exact but worst-case exponential in
         the component dimension; fine at the scales this library
-        targets.
+        targets.  Components are searched by their smallest row.
         """
-        masks = _row_support_masks(self.rows)
-        for group in _row_graph_groups(masks):
-            if len(group) < 2:
-                continue  # a one-dimensional component never splits
-            support_mask = 0
-            for r in group:
-                support_mask |= masks[r]
-            support = [j for j in range(self.n) if support_mask >> j & 1]
+        masks = [self.kernel.nonzero(c) for c in self.cols]
+        components = []
+        for support in _row_graph_groups(masks):
+            rows = 0
+            for j in support:
+                rows |= masks[j]
+            if rows & (rows - 1):  # a one-dimensional component never splits
+                components.append((rows & -rows, support))
+        for _, support in sorted(components):
             result = self._split_component(support)
             if result is not None:
                 return result
@@ -368,7 +346,7 @@ class _Canonicalizer:
         local_ups = {r: [j for j in self.ups[r] if j in support_set] for r in support}
         kernel = row_kernel(self.p, self.k)
         add, reduce, extend = kernel.add, kernel.reduce, kernel.extend
-        columns = {j: kernel.pack(self.column(j)) for j in support}
+        columns = {j: self.cols[j] & kernel.coords for j in support}
         candidates_at: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
 
         def candidates(r: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -446,10 +424,10 @@ def canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:
     state.coset_passes()
     for _ in range(state.n + 2):
         before = state.score()
-        snap = state.snapshot()
+        snap = tuple(state.cols)
         state.coset_passes()
         if state.score() < before:
-            state.restore(snap)
+            state.cols = list(snap)
         split = state.find_split()
         if split is None:
             break
@@ -459,9 +437,10 @@ def canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:
             raise RuntimeError("split application did not refine the decomposition")
     else:
         raise RuntimeError("decomposition refinement did not settle")
+    kernel, k, n = state.kernel, state.k, state.n
     return (
-        Matrix(state.field, state.rows, n=state.n),
-        Matrix(state.field, state.witness),
+        Matrix(state.field, zip(*(kernel.unpack(c) for c in state.cols)), n=n),
+        Matrix(state.field, (kernel.unpack(c, k, k + n) for c in state.cols)),
     )
 
 
@@ -476,18 +455,12 @@ def is_p_canonical(g: Matrix, poset: Poset) -> bool:
         raise ValueError(f"poset ground set {poset.n} does not match matrix width {g.n}")
     if not is_generalized_rref(g):
         return False
-    k = g.k
-    rows = [list(r) for r in g.rows]
-    for r, above in enumerate(_strict_ups(poset)):
-        if not above:
-            continue
-        col = [rows[i][r] for i in range(k)]
-        new_col, _ = _coset_reduce(
-            g.field, col, [(j, [rows[i][j] for i in range(k)]) for j in above]
-        )
-        if new_col != col:
-            return False
-    return True
+    kernel = row_kernel(g.field.p, g.k)
+    cols = [kernel.pack(g.column(j)) for j in range(g.n)]
+    return all(
+        _coset_representative(kernel, cols, r, above) == cols[r]
+        for r, above in enumerate(_strict_ups(poset))
+    )
 
 
 def maximal_p_decomposition(code: Code, poset: Poset) -> PDecomposition:

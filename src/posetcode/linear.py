@@ -10,7 +10,8 @@ of GF(p)^m is a single Python int holding coordinate i in bits
 over odd p.  The kernel adds rows slotwise, takes multiples, reduces a
 row against a reduced echelon basis and extends a basis by one row;
 rank, both echelon forms, inversion and code membership, as well as the
-coset passes and split search of the canonical form, all go through it.
+canonical form, all go through it: there each packed int holds one
+column of the generator, with the matching witness row in tag slots.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ class RowKernel:
 
     A row may carry `tags` further slots after its m coordinates.  They
     take part in every addition, so they can record which combination
-    of input rows a row is, but they never hold a pivot.
+    of input rows a row is, but they never hold a pivot.  `coords`
+    masks the m coordinate slots.
     """
 
-    __slots__ = ("p", "m", "w", "slot", "add", "_coords")
+    __slots__ = ("p", "m", "w", "slot", "add", "coords", "_fill", "_top")
 
     def __init__(self, p: int, m: int, tags: int = 0):
         self.p, self.m = p, m
@@ -151,7 +153,9 @@ class RowKernel:
         self.w = w
         self.slot = (1 << w) - 1
         self.add = add
-        self._coords = (1 << (w * m)) - 1
+        self.coords = (1 << (w * m)) - 1
+        ones = self.coords // self.slot  # bit 0 of every coordinate slot
+        self._fill, self._top = ones * (self.slot >> 1), ones << (w - 1)
 
     def pack(self, coords: Sequence[int]) -> int:
         """One int from residues in [0, p), coordinate 0 in the lowest slot."""
@@ -169,6 +173,14 @@ class RowKernel:
     def unit(self, i: int) -> int:
         """The row with 1 in slot i and 0 elsewhere."""
         return 1 << (i * self.w)
+
+    def nonzero(self, row: int) -> int:
+        """The top bit of every nonzero coordinate slot, and no other bit.
+
+        Filling each slot with 2^(w-1) - 1 carries a nonzero residue
+        into the slot's top bit and leaves a zero one below it.
+        """
+        return ((row & self.coords) + self._fill) & self._top
 
     def multiples(self, row: int) -> list[int]:
         """c * row for c = 0, ..., p - 1."""
@@ -201,7 +213,7 @@ class RowKernel:
         """The reduced echelon basis of the span of basis and row, or
         None if the coordinates of row depend on the basis."""
         row = self.reduce(row, basis)
-        if not row & self._coords:
+        if not row & self.coords:
             return None
         add, scale, slot, p = self.add, self.scale, self.slot, self.p
         bit = (row & -row).bit_length() - 1

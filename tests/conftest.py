@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 
 from posetcode.decode import parity_check, unproject_support
-from posetcode.decomp import _Canonicalizer
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, Vector, p_distance
 from posetcode.poset import Poset
@@ -160,11 +159,11 @@ def reference_decode_alg2(plan, y: Vector) -> Vector:
 
 # -- reference canonicalizer ----------------------------------------------
 #
-# The list-based echelon arithmetic the packed-row kernel replaced: row
-# reduction, coset reduction with explicit combination dictionaries, and
-# the split search reducing and extending coordinate lists.  Only the
-# moves that touch row reduction are overridden; scoring, snapshots and
-# component grouping are shared with the library.
+# The list-based canonicalizer the packed kernel replaced: the generator
+# rows and the witness as lists of lists, row reduction, coset reduction
+# with explicit combination dictionaries replayed on the witness, and the
+# split search reducing and extending coordinate lists.  It shares no
+# code with the library's canonicalizer.
 
 
 def reference_echelon(field: PrimeField, rows: list[list[int]]) -> list[list[int]]:
@@ -234,10 +233,70 @@ def reference_coset_reduce(field: PrimeField, col, indexed_cols):
     return out, {jj: c for jj, c in used.items() if c}
 
 
-class ReferenceCanonicalizer(_Canonicalizer):
+def _reference_row_groups(rows) -> list[tuple[list[int], int]]:
+    """Connected components of the rows-share-a-column graph, seeded at
+    the smallest unassigned row: (rows, column mask) per component."""
+    masks = [sum(1 << j for j, c in enumerate(row) if c) for row in rows]
+    unassigned = list(range(len(rows)))
+    groups = []
+    while unassigned:
+        group = [unassigned.pop(0)]
+        mask = masks[group[0]]
+        grew = True
+        while grew:
+            grew = False
+            for r in list(unassigned):
+                if masks[r] & mask:
+                    unassigned.remove(r)
+                    group.append(r)
+                    mask |= masks[r]
+                    grew = True
+        groups.append((sorted(group), mask))
+    return groups
+
+
+class ReferenceCanonicalizer:
     def __init__(self, g: Matrix, poset: Poset):
-        super().__init__(g, poset)
+        self.field, self.p = g.field, g.field.p
+        self.n, self.k = g.n, g.k
+        self.poset = poset
+        self.ups = [
+            [j for j in range(self.n) if poset.strictly_less(r + 1, j + 1)] for r in range(self.n)
+        ]
         self.rows = reference_row_reduce_inverse(self.field, g.rows)
+        self.witness = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+
+    def column(self, j: int) -> list[int]:
+        return [self.rows[i][j] for i in range(self.k)]
+
+    def score(self) -> int:
+        groups = _reference_row_groups(self.rows)
+        covered = 0
+        for _, mask in groups:
+            covered |= mask
+        return len(groups) + self.n - bin(covered).count("1")
+
+    def snapshot(self):
+        return [r[:] for r in self.rows], [r[:] for r in self.witness]
+
+    def restore(self, snap) -> None:
+        self.rows = [r[:] for r in snap[0]]
+        self.witness = [r[:] for r in snap[1]]
+
+    def _witness_add_row(self, r: int, j: int, coeff: int) -> None:
+        # accumulate T(e_j) = e_j + coeff * e_r on the witness
+        self.witness[r] = [
+            (a + coeff * b) % self.p for a, b in zip(self.witness[r], self.witness[j])
+        ]
+
+    def find_split(self):
+        for group, mask in _reference_row_groups(self.rows):
+            if len(group) < 2:
+                continue  # a one-dimensional component never splits
+            result = self._split_component([j for j in range(self.n) if mask >> j & 1])
+            if result is not None:
+                return result
+        return None
 
     def _rereduce(self) -> None:
         self.rows = reference_row_reduce_inverse(self.field, self.rows)

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_canonical_form
+from conftest import reference_canonical_form, reference_coset_reduce
 from posetcode import oracle
 from posetcode.field import PrimeField
-from posetcode.linear import Code, Matrix, row_reduce_inverse
+from posetcode.linear import Code, Matrix, is_generalized_rref, row_reduce_inverse
 from posetcode.decomp import (
     PointedPartition,
     canonical_form,
@@ -210,6 +210,35 @@ class TestCanonicalForm:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             canonical_form(SIX_COL_G, Poset.antichain(5))
+
+    def test_rank_deficiency_rejected(self):
+        with pytest.raises(ValueError, match="rank"):
+            canonical_form(Matrix(F2, [[1, 0], [1, 0]]), Poset.antichain(2))
+
+    def test_fixpoint_predicate_matches_literal_check(self):
+        def literal(g, p):
+            columns = [list(g.column(j)) for j in range(g.n)]
+            return is_generalized_rref(g) and all(
+                reference_coset_reduce(
+                    g.field, columns[r],
+                    [(j, columns[j]) for j in range(g.n) if p.strictly_less(r + 1, j + 1)],
+                )[0] == columns[r]
+                for r in range(g.n)
+            )
+
+        rng = random.Random(41)
+        answers = []
+        for field in (F2, F3, F5):
+            for _ in range(40):
+                n = rng.randint(2, 7)
+                p = random_poset(rng, n)
+                gen = random_code(rng, field, n, rng.randint(1, n)).gen
+                for g in (gen, row_reduce_inverse(gen), canonical_form(gen, p)[0]):
+                    expected = literal(g, p)
+                    assert is_p_canonical(g, p) == expected
+                    answers.append(expected)
+        assert 0 < sum(answers) < len(answers)
+        assert is_p_canonical(Matrix(F3, [], n=4), Poset.chain(4))
 
     def test_witness_stays_in_reducing_group(self):
         rng = random.Random(21)

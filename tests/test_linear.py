@@ -279,6 +279,8 @@ def test_kernel_pack_add_and_multiples_match_residues(p, data):
     assert kernel.unpack(pa) == a[:m]
     assert kernel.unpack(pa, m, m + tags) == a[m:]
     assert kernel.unpack(kernel.add(pa, pb), 0, m + tags) == [(x + y) % p for x, y in zip(a, b)]
+    top = kernel.w - 1
+    assert kernel.nonzero(pa) == sum(1 << (i * kernel.w + top) for i in range(m) if a[i])
     multiples = kernel.multiples(pa)
     assert len(multiples) == p
     for c in data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)):
