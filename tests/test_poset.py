@@ -12,7 +12,7 @@ from posetcode.poset import (
     lower_neighbor,
     upper_neighbor,
 )
-from posetcode.randgen import random_poset
+from posetcode.randgen import random_hierarchical_poset, random_poset
 
 
 def test_closure_infers_transitive_relations():
@@ -165,6 +165,50 @@ def test_complete_cuts_nested_and_bounded():
             assert a < b
     assert len(complete_cuts(Poset.chain(5))) == 6
     assert len(complete_cuts(Poset.antichain(5))) == 2
+
+
+def _small_posets(seed: int, count: int):
+    """Random posets with n <= 7, every third one hierarchical so that
+    nontrivial complete cuts occur."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(1, 7)
+        yield rng, random_hierarchical_poset(rng, n) if t % 3 == 0 else random_poset(rng, n)
+
+
+def test_complete_cuts_match_definition_over_all_subsets():
+    nontrivial = 0
+    for _, p in _small_posets(19, 60):
+        ground = range(1, p.n + 1)
+        expected = [
+            frozenset(a)
+            for size in range(p.n + 1)
+            for a in itertools.combinations(ground, size)
+            if all(p.strictly_less(x, y) for x in a for y in ground if y not in a)
+        ]
+        assert complete_cuts(p) == expected
+        nontrivial += len(expected) > 2
+    assert nontrivial >= 10
+
+
+def test_maximal_elements_match_definition():
+    for rng, p in _small_posets(23, 60):
+        for _ in range(4):
+            subset = {a for a in range(1, p.n + 1) if rng.random() < 0.6}
+            expected = {a for a in subset if not any(p.strictly_less(a, b) for b in subset)}
+            assert p.maximal_elements(subset) == expected
+
+
+def test_relations_and_chain_predicate_match_leq():
+    chains = 0
+    for _, p in _small_posets(29, 60):
+        ground = range(1, p.n + 1)
+        expected = {(a, b) for a in ground for b in ground if a != b and p.leq(a, b)}
+        assert p.relations() == expected
+        is_chain = all(p.leq(a, b) or p.leq(b, a) for a in ground for b in ground)
+        assert p.is_chain() == is_chain
+        chains += is_chain
+    assert 0 < chains < 60
 
 
 def test_rebuilding_from_relations_is_idempotent():
