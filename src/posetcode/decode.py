@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
-from operator import mul, or_, sub
+from operator import and_, mul, or_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
@@ -166,14 +166,17 @@ def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...]
     every element of j's.
     """
     supports = [comp.support() for comp in d.components]
-    r = len(supports)
+    # supports are disjoint, so S_i lies strictly below S_j exactly when it
+    # lies inside the ideal of every element of S_j
+    full = (1 << poset.n) - 1
+    under = [reduce(and_, _coordinate_ideals(poset, s), full) for s in supports]
     below = [
         (i + 1, j + 1)
-        for i in range(r)
-        for j in range(r)
-        if i != j and all(poset.strictly_less(a, b) for a in supports[i] for b in supports[j])
+        for i, mask in enumerate(map(_support_mask, supports))
+        for j, ideal in enumerate(under)
+        if i != j and not mask & ~ideal
     ]
-    quotient = Poset.from_relations(r, below)
+    quotient = Poset.from_relations(len(supports), below)
     return tuple(tuple(i - 1 for i in level) for level in cut_levels(quotient))
 
 

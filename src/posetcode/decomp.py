@@ -153,23 +153,19 @@ def _row_graph_groups(masks: Sequence[int]) -> list[list[int]]:
 
     Rows sharing a column, columns sharing a row and components sharing
     an ideal are all grouped here; a zero mask stands alone."""
-    unassigned = set(range(len(masks)))
-    groups: list[list[int]] = []
-    while unassigned:
-        seed = min(unassigned)
-        group_mask = masks[seed]
-        group = {seed}
-        grew = True
-        while grew:
-            grew = False
-            for r in sorted(unassigned - group):
-                if masks[r] & group_mask:
-                    group.add(r)
-                    group_mask |= masks[r]
-                    grew = True
-        groups.append(sorted(group))
-        unassigned -= group
-    return groups
+    # one pass: index r joins every group whose union meets its mask,
+    # so the unions of distinct groups stay disjoint
+    groups: list[tuple[int, list[int]]] = []
+    for r, mask in enumerate(masks):
+        union, members, rest = mask, [r], []
+        for group in groups:
+            if group[0] & mask:
+                union |= group[0]
+                members = group[1] + members
+            else:
+                rest.append(group)
+        groups = rest + [(union, members)]
+    return sorted(sorted(members) for _, members in groups)
 
 
 def components_from_matrix(g: Matrix) -> Decomposition:
@@ -195,10 +191,9 @@ def components_from_matrix(g: Matrix) -> Decomposition:
 
 def _strict_ups(poset: Poset) -> list[list[int]]:
     """For each 0-indexed column r, the 0-indexed columns strictly above it."""
-    return [
-        sorted(j - 1 for j in range(1, poset.n + 1) if poset.strictly_less(r + 1, j))
-        for r in range(poset.n)
-    ]
+    n = poset.n
+    downs = [poset.ideal_mask(1 << j) for j in range(n)]
+    return [[j for j in range(n) if j != r and downs[j] >> r & 1] for r in range(n)]
 
 
 def _coset_representative(
@@ -361,13 +356,16 @@ class _Canonicalizer:
             return candidates_at[r]
 
         seen: set = set()
-        # state: (position, side bases, combined basis, chosen columns, per-side use flags);
-        # chosen columns form a linked list of (parent, column, coefficients)
-        stack = [(0, (), (), (), None, (False, False))]
+        # state: (position, side bases, combined basis, chosen columns); chosen
+        # columns form a linked list of (parent, column, coefficients).  A side
+        # is used exactly when its basis is nonempty: column 0 always goes to
+        # side 0 with a nonzero candidate, and a candidate reduces to zero only
+        # against a nonempty basis.
+        stack = [(0, (), (), (), None)]
         while stack:
-            idx, b1, b2, comb, chosen, used = stack.pop()
+            idx, b1, b2, comb, chosen = stack.pop()
             if idx == len(order):
-                if used[0] and used[1]:
+                if b1 and b2:
                     choices = {}
                     while chosen is not None:
                         chosen, r, xs = chosen
@@ -376,7 +374,7 @@ class _Canonicalizer:
                             choices[r] = combo
                     return choices
                 continue
-            key = (idx, b1, b2, used)
+            key = (idx, b1, b2)
             if key in seen:
                 continue
             seen.add(key)
@@ -384,7 +382,6 @@ class _Canonicalizer:
             sides = (0,) if idx == 0 else (0, 1)
             for side in sides:
                 own = b1 if side == 0 else b2
-                new_used = (used[0] or side == 0, used[1] or side == 1)
                 tried, seen_spans = set(), set()
                 for h, xs in candidates(r):
                     red = reduce(h, own)
@@ -404,7 +401,7 @@ class _Canonicalizer:
                         new_own, new_comb = own, comb
                     stack.append((idx + 1, new_own if side == 0 else b1,
                                   new_own if side == 1 else b2,
-                                  new_comb, (chosen, r, xs), new_used))
+                                  new_comb, (chosen, r, xs)))
         return None
 
 
@@ -495,11 +492,11 @@ def witness_in_reducing_group(witness: Matrix, poset: Poset) -> bool:
     if witness.k != witness.n or witness.n != poset.n:
         return False
     for j in range(witness.n):
-        if not witness.rows[j][j]:
+        below = poset.ideal_mask(1 << j)
+        if not witness.rows[j][j] or any(
+            row[j] and not below >> i & 1 for i, row in enumerate(witness.rows)
+        ):
             return False
-        for i in range(witness.n):
-            if witness.rows[i][j] and not poset.leq(i + 1, j + 1):
-                return False
     return True
 
 

@@ -8,7 +8,7 @@ upper/lower neighbors.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Ground sets are capped so element subsets fit in one machine word.
 MAX_GROUND_SET = 64
@@ -35,30 +35,23 @@ class Poset:
         # down[j] = elements below-or-equal j; the ideal machinery runs on these
         down = [0] * n
         for i in range(n):
-            m = up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in _bits(up[i]):
                 down[j] |= 1 << i
-                m &= m - 1
         self._down = tuple(down)
         self._heights: tuple[int, ...] | None = None
-        self._ideal_cache: dict[int, int] = {}
 
     def _validate(self) -> None:
         n, up = self._n, self._up
         for i in range(n):
             if not up[i] >> i & 1:
                 raise ValueError(f"relation is not reflexive at element {i + 1}")
-            m = up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in _bits(up[i]):
                 if i != j and up[j] >> i & 1:
                     raise ValueError(
                         f"relation is not antisymmetric: {i + 1} and {j + 1} are mutually related"
                     )
                 if up[j] & ~up[i]:
                     raise ValueError(f"relation is not transitive above element {i + 1}")
-                m &= m - 1
 
     # -- construction ------------------------------------------------
 
@@ -139,14 +132,9 @@ class Poset:
 
     def relations(self) -> frozenset[tuple[int, int]]:
         """All strict pairs (a, b) with a < b in this order."""
-        out = []
-        for i in range(self._n):
-            m = self._up[i] & ~(1 << i)
-            while m:
-                j = (m & -m).bit_length() - 1
-                out.append((i + 1, j + 1))
-                m &= m - 1
-        return frozenset(out)
+        return frozenset(
+            (i + 1, j + 1) for i, m in enumerate(self._up) for j in _bits(m & ~(1 << i))
+        )
 
     def _check_element(self, a: int) -> None:
         if not 1 <= a <= self._n:
@@ -162,22 +150,11 @@ class Poset:
     # -- ideals ------------------------------------------------------
 
     def ideal_mask(self, mask: int) -> int:
-        """Downward closure of a 0-indexed bitmask of elements.
-
-        Only single-element closures are cached, so the cache holds at
-        most n entries whatever the callers ask for.
-        """
-        cached = self._ideal_cache.get(mask)
-        if cached is not None:
-            return cached
+        """Downward closure of a 0-indexed bitmask of elements: the union
+        of the stored down-sets of its elements."""
         closed = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
+        for i in _bits(mask):
             closed |= self._down[i]
-            m &= m - 1
-        if mask and not mask & (mask - 1):
-            self._ideal_cache[mask] = closed
         return closed
 
     def ideal(self, elements: Iterable[int]) -> frozenset[int]:
@@ -192,14 +169,7 @@ class Poset:
     def maximal_elements(self, elements: Iterable[int]) -> frozenset[int]:
         """Elements of the subset with nothing of the subset strictly above."""
         mask = self._check_subset(elements)
-        out = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if not (self._up[i] & ~(1 << i) & mask):
-                out |= 1 << i
-            m &= m - 1
-        return _mask_to_set(out)
+        return frozenset(i + 1 for i in _bits(mask) if not self._up[i] & ~(1 << i) & mask)
 
     # -- heights and levels -------------------------------------------
 
@@ -210,14 +180,7 @@ class Poset:
             h = [0] * n
             order = sorted(range(n), key=lambda i: bin(self._down[i]).count("1"))
             for i in order:
-                best = 0
-                m = self._down[i] & ~(1 << i)
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    if h[j] > best:
-                        best = h[j]
-                    m &= m - 1
-                h[i] = best + 1
+                h[i] = 1 + max((h[j] for j in _bits(self._down[i] & ~(1 << i))), default=0)
             self._heights = tuple(h)
         return self._heights
 
@@ -240,11 +203,8 @@ class Poset:
     # -- structural predicates -----------------------------------------
 
     def is_chain(self) -> bool:
-        return all(
-            self.leq(a, b) or self.leq(b, a)
-            for a in range(1, self._n + 1)
-            for b in range(a + 1, self._n + 1)
-        )
+        full = (1 << self._n) - 1
+        return all(up | down == full for up, down in zip(self._up, self._down))
 
     def is_antichain(self) -> bool:
         return all(self._up[i] == 1 << i for i in range(self._n))
@@ -274,13 +234,16 @@ class Poset:
         return f"Poset(n={self._n}, relations={rels})"
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = []
+def _bits(mask: int) -> Iterator[int]:
+    """0-indexed positions of the set bits of mask, lowest first."""
     while mask:
-        i = (mask & -mask).bit_length() - 1
-        out.append(i + 1)
-        mask &= mask - 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in _bits(mask))
 
 
 def _find_cycle(n: int, pairs: list[tuple[int, int]], a: int, b: int) -> list[int]:
@@ -356,16 +319,8 @@ def complete_cuts(p: Poset) -> list[frozenset[int]]:
         if bin(cand).count("1") != k:
             continue
         outside = full & ~cand
-        ok = True
-        m = cand
-        while m and ok:
-            i = (m & -m).bit_length() - 1
-            if strict_up[i] & outside != outside:
-                ok = False
-            m &= m - 1
-        if ok:
+        if all(strict_up[i] & outside == outside for i in _bits(cand)):
             cuts.append(cand)
-    cuts.sort(key=lambda m: bin(m).count("1"))
     return [_mask_to_set(m) for m in cuts]
 
 

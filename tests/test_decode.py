@@ -111,15 +111,6 @@ class TestSyndromeTable:
                     )
                     assert list(group.table.leaders.items()) == list(expected.items())
 
-    def test_table_builds_leave_ideal_cache_bounded(self):
-        rng = random.Random(11)
-        n = 12
-        code = random_code(rng, F2, n, 6)
-        p = random_poset(rng, n)
-        build_table(code, p)
-        build_plan_for_code(code, p)
-        assert len(p._ideal_cache) <= n
-
     def test_budget(self):
         code = Code.from_rows(F2, [[1] + [0] * 11])
         with pytest.raises(BudgetExceededError):

@@ -248,15 +248,6 @@ def test_vector_arithmetic_roundtrip(p, data):
     assert u - u == Vector(field, [0] * n)
 
 
-def test_min_distance_leaves_ideal_cache_bounded():
-    rng = random.Random(17)
-    n = 16
-    code = random_code(rng, F2, n, 10)
-    p = random_poset(rng, n)
-    min_distance(code, p)
-    assert len(p._ideal_cache) <= n
-
-
 # -- packed-row kernel ----------------------------------------------------
 
 KERNEL_PRIMES = (2, 3, 5, 7, 65521)  # 65521: the largest prime PrimeField accepts

@@ -150,15 +150,6 @@ def test_budget_charges_minimal_supports_not_ambient_space():
     assert packing_radius_exact(code, anti) == (min_distance(code, anti) - 1) // 2 == 3
 
 
-def test_ideal_cache_holds_singletons_only():
-    rng = random.Random(75)
-    n = 12
-    code = random_code(rng, F2, n, 4)
-    p = random_poset(rng, n, density=0.2)
-    packing_radius_exact(code, p)
-    assert len(p._ideal_cache) <= n
-
-
 def test_ground_set_mismatch():
     with pytest.raises(ValueError):
         packing_radius_exact(Code.from_rows(F2, [[1, 1]]), Poset.antichain(3))
