@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 enumeration budget exceeded,
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -68,6 +69,22 @@ budget_option = click.option(
 )
 
 
+def poset_and_code(command):
+    """Declare --poset and --code; the command receives the loaded poset
+    and code, checked to have the same size, in their place."""
+
+    @poset_option
+    @code_option
+    @functools.wraps(command)
+    def load(poset_path, code_path, **kwargs):
+        poset = files.load_poset(poset_path)
+        code = files.load_code(code_path)
+        _require_same_n(poset, code)
+        return command(poset, code, **kwargs)
+
+    return load
+
+
 @click.group()
 def cli():
     """Canonical forms, decompositions, packing radii and syndrome
@@ -114,39 +131,32 @@ def validate(poset_path, code_path, as_json):
 
 
 @cli.command()
-@poset_option
-@code_option
+@poset_and_code
 @json_option
-def canonicalize(poset_path, code_path, as_json):
+def canonicalize(poset, code, as_json):
     """Reduce the generator matrix to its order-canonical form."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     pd = maximal_p_decomposition(code, poset)
     gstar = pd.decomposition.code.gen
+    entries, value = profile(pd.decomposition), degree(pd)
     payload = {
         "canonical": [list(r) for r in gstar.rows],
         "witness": [list(r) for r in pd.witness.rows],
         "fixpoint": is_p_canonical(gstar, poset),
-        "profile": [list(e) for e in profile(pd.decomposition)],
-        "degree": degree(pd),
+        "profile": [list(e) for e in entries],
+        "degree": value,
     }
     lines = ["canonical generator:"]
     lines += [" ".join(str(c) for c in row) for row in gstar.rows]
-    lines.append(f"profile: {[tuple(e) for e in profile(pd.decomposition)]}")
-    lines.append(f"degree: {degree(pd)}")
+    lines.append(f"profile: {list(entries)}")
+    lines.append(f"degree: {value}")
     _emit(payload, as_json, lines)
 
 
 @cli.command()
-@poset_option
-@code_option
+@poset_and_code
 @json_option
-def decompose(poset_path, code_path, as_json):
+def decompose(poset, code, as_json):
     """Maximal decomposition of the code under the order weight."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     pd = maximal_p_decomposition(code, poset)
     payload = _decomposition_payload(pd)
     lines = [
@@ -160,28 +170,20 @@ def decompose(poset_path, code_path, as_json):
 
 
 @cli.command(name="profile")
-@poset_option
-@code_option
+@poset_and_code
 @json_option
-def profile_cmd(poset_path, code_path, as_json):
+def profile_cmd(poset, code, as_json):
     """Profile of the maximal decomposition."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     pd = maximal_p_decomposition(code, poset)
     entries = [list(e) for e in profile(pd.decomposition)]
     _emit({"profile": entries}, as_json, [f"profile: {[tuple(e) for e in entries]}"])
 
 
 @cli.command(name="degree")
-@poset_option
-@code_option
+@poset_and_code
 @json_option
-def degree_cmd(poset_path, code_path, as_json):
+def degree_cmd(poset, code, as_json):
     """Degree of the maximal decomposition."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     value = degree(maximal_p_decomposition(code, poset))
     _emit({"degree": value}, as_json, [f"degree: {value}"])
 
@@ -218,31 +220,23 @@ def weight(poset_path, vec_text, q, as_json):
 
 
 @cli.command()
-@poset_option
-@code_option
+@poset_and_code
 @budget_option
 @json_option
-def mindist(poset_path, code_path, budget, as_json):
+def mindist(poset, code, budget, as_json):
     """Minimum nonzero codeword weight, by exhaustive enumeration."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     d = min_distance(code, poset, budget)
     _emit({"min_distance": d}, as_json, [f"min distance: {d}"])
 
 
 @cli.command()
-@poset_option
-@code_option
+@poset_and_code
 @click.option("--exact", "mode", flag_value="exact", default=True)
 @click.option("--bounds", "mode", flag_value="bounds")
 @budget_option
 @json_option
-def radius(poset_path, code_path, mode, budget, as_json):
+def radius(poset, code, mode, budget, as_json):
     """Packing radius: exact by support bipartition, or neighbor bounds."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     if mode == "exact":
         value = packing_radius_exact(code, poset, budget)
         _emit({"exact": value}, as_json, [f"packing radius: {value}"])
@@ -257,15 +251,11 @@ def radius(poset_path, code_path, mode, budget, as_json):
 
 
 @cli.command(name="table-plan")
-@poset_option
-@code_option
+@poset_and_code
 @budget_option
 @json_option
-def table_plan(poset_path, code_path, budget, as_json):
+def table_plan(poset, code, budget, as_json):
     """Lookup-table accounting for the leveled decoder."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     plan = build_plan_for_code(code, poset, budget)
     sizes = table_sizes(plan)
     payload = dict(sizes)
@@ -289,8 +279,7 @@ def table_plan(poset_path, code_path, budget, as_json):
 
 
 @cli.command()
-@poset_option
-@code_option
+@poset_and_code
 @click.option("--vec", "vec_text", help="one received vector inline")
 @click.option("--vectors", "vectors_path", type=click.Path(exists=True))
 @click.option(
@@ -301,11 +290,8 @@ def table_plan(poset_path, code_path, budget, as_json):
 )
 @budget_option
 @json_option
-def decode(poset_path, code_path, vec_text, vectors_path, algorithm, budget, as_json):
+def decode(poset, code, vec_text, vectors_path, algorithm, budget, as_json):
     """Decode received vectors to nearest codewords."""
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     received = []
     if vec_text:
         received.append(files.parse_vector(vec_text, code.field, code.n, where="--vec"))
@@ -359,19 +345,15 @@ class _SelftestFailure(Exception):
 
 
 @cli.command()
-@poset_option
-@code_option
+@poset_and_code
 @click.option("--trials", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @budget_option
 @json_option
-def bench(poset_path, code_path, trials, seed, budget, as_json):
+def bench(poset, code, trials, seed, budget, as_json):
     """Time table construction and decoding on random received vectors."""
     import random as _random
 
-    poset = files.load_poset(poset_path)
-    code = files.load_code(code_path)
-    _require_same_n(poset, code)
     rng = _random.Random(seed)
     t0 = time.perf_counter()
     table = build_table(code, poset, budget)

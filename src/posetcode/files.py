@@ -82,18 +82,7 @@ def load_code(path: str | Path) -> Code:
     body = lines[1:]
     if len(body) != k:
         raise ValueError(f"{path}: expected {k} generator rows, found {len(body)}")
-    rows = []
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ValueError(f"{path}:{lineno}: expected {n} residues, got {len(tokens)}")
-        row = []
-        for col, tok in enumerate(tokens, start=1):
-            value = _parse_int(tok, path, lineno, col, "a residue")
-            if not 0 <= value < q:
-                raise ValueError(f"{path}:{lineno}:{col}: residue {value} outside [0, {q})")
-            row.append(value)
-        rows.append(row)
+    rows = [parse_vector(line, field, n, where=f"{path}:{lineno}").coords for lineno, line in body]
     try:
         return Code(Matrix(field, rows, n=n))
     except ValueError as exc:
