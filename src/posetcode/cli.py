@@ -73,6 +73,8 @@ def poset_and_code(command):
     """Declare --poset and --code; the command receives the loaded poset
     and code, checked to have the same size, in their place."""
 
+    # wraps() carries over the options declared below the decorator, so
+    # --poset and --code still come first in --help
     @poset_option
     @code_option
     @functools.wraps(command)
