@@ -106,17 +106,17 @@ def validate(poset_path, code_path, as_json):
     poset = files.load_poset(poset_path) if poset_path else None
     code = files.load_code(code_path) if code_path else None
     if poset is not None:
+        relations, hierarchical = poset.relations(), poset.is_hierarchical()
         payload["poset"] = {
             "n": poset.n,
-            "relations": sorted(list(r) for r in poset.relations()),
+            "relations": sorted(list(r) for r in relations),
             "heights": list(poset.heights()),
             "chain": poset.is_chain(),
             "antichain": poset.is_antichain(),
-            "hierarchical": poset.is_hierarchical(),
+            "hierarchical": hierarchical,
         }
         lines.append(
-            f"poset: n={poset.n} relations={len(poset.relations())} "
-            f"hierarchical={poset.is_hierarchical()}"
+            f"poset: n={poset.n} relations={len(relations)} hierarchical={hierarchical}"
         )
     if code is not None:
         payload["code"] = {

@@ -4,24 +4,40 @@ decoders with their table-size accounting.
 
 A table weighs each enumerated word by the order ideals of its
 coordinates: the weight is the size of the union of those ideals over
-the word's support.  A decode plan folds its witness into per-group
-maps when it is built, so a leveled decode reads each group's syndrome
-straight off the received word and costs a few row dot products, one
-lookup per group and one output `Vector`.
+the word's support.
+
+Every syndrome is one packed `RowKernel` int.  A table keeps the p
+multiples of each packed column of its parity matrix, so a word's
+syndrome is one kernel add per nonzero coordinate.  The table build
+lists the words on the first half of the coordinates and on the second
+half, each with its packed syndrome and ideal union, and scans the
+pairs in lexicographic order.  A decode plan folds its witness into
+one wide column per coordinate that carries every group's syndrome
+slots and every group's keep-map output at once.  A leveled decode is
+then one pass over the received word, a slice per group, one lookup
+per group that fires, one packed subtraction and one output `Vector`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
-from operator import and_, mul, or_, sub
-from typing import Iterable, Mapping, Sequence
+from operator import and_, sub
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import Decomposition, _row_graph_groups, maximal_p_decomposition
 from .field import PrimeField
-from .linear import Code, Matrix, Vector, apply_map, classical_rref, invert_matrix
+from .linear import (
+    Code,
+    Matrix,
+    RowKernel,
+    Vector,
+    apply_map,
+    classical_rref,
+    invert_matrix,
+    row_kernel,
+)
 from .poset import Poset, cut_levels
 
 
@@ -41,6 +57,24 @@ def parity_check(code: Code) -> Matrix:
     return Matrix(code.field, rows, n=code.n)
 
 
+def _packed_columns(
+    kernel: RowKernel, rows: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], ...]:
+    """The p multiples of each of the n packed columns of the rows."""
+    return tuple(kernel.multiples(kernel.pack([row[j] for row in rows])) for j in range(n))
+
+
+def _accumulate(
+    add: Callable[[int, int], int], columns: Sequence[list[int]], coords: Sequence[int]
+) -> int:
+    """The packed image of a word: y_j times column j, summed over j."""
+    acc = 0
+    for col, c in zip(columns, coords):
+        if c:
+            acc = add(acc, col[c])
+    return acc
+
+
 @dataclass(frozen=True)
 class SyndromeTable:
     """Coset leaders keyed by syndrome.
@@ -51,24 +85,53 @@ class SyndromeTable:
     weight on the table's own coordinates; group tables inside a decode
     plan instead weigh words by the ideals their coordinates generate
     in the full space.
+
+    Decoding reads the packed parity columns and a private index from
+    packed syndrome to leader coordinates, in the order of `leaders`.
     """
 
     code: Code
     parity: Matrix
     leaders: Mapping[tuple[int, ...], Vector]
     poset: Poset | None = None
+    _kernel: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
+    _columns: tuple[list[int], ...] = dataclass_field(repr=False, compare=False, kw_only=True)
+    _index: Mapping[int, tuple[int, ...]] = dataclass_field(
+        repr=False, compare=False, kw_only=True
+    )
 
-    def syndrome(self, y: Vector) -> tuple[int, ...]:
-        if len(y) != self.code.n:
-            raise ValueError(f"vector length {len(y)} does not match code length {self.code.n}")
-        p = self.code.field.p
-        return tuple(sum(map(mul, row, y.coords)) % p for row in self.parity.rows)
-
-    def decode(self, y: Vector) -> Vector:
+    def _packed_syndrome(self, y: Vector) -> int:
         if y.field != self.code.field:
             raise ValueError(f"field mismatch: {y.field} vs {self.code.field}")
-        leader = self.leaders[self.syndrome(y)]
-        return Vector(y.field, map(sub, y.coords, leader.coords))
+        if len(y) != self.code.n:
+            raise ValueError(f"vector length {len(y)} does not match code length {self.code.n}")
+        return _accumulate(self._kernel.add, self._columns, y.coords)
+
+    def syndrome(self, y: Vector) -> tuple[int, ...]:
+        return tuple(self._kernel.unpack(self._packed_syndrome(y)))
+
+    def decode(self, y: Vector) -> Vector:
+        leader = self._index[self._packed_syndrome(y)]
+        return Vector(y.field, map(sub, y.coords, leader))
+
+
+def _half_words(
+    add: Callable[[int, int], int],
+    columns: Sequence[list[int]],
+    ideals: Sequence[int],
+    positions: range,
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every word on the given coordinates, in lexicographic order, as
+    (packed syndrome, union of the ideals over its support, residues)."""
+    words = [(0, 0, ())]
+    for j in positions:
+        col, ideal = columns[j], ideals[j]
+        words = [
+            (add(s, multiple), union | ideal if c else union, coords + (c,))
+            for s, union, coords in words
+            for c, multiple in enumerate(col)
+        ]
+    return words
 
 
 def _build_table(
@@ -81,26 +144,38 @@ def _build_table(
 
     `ideals[j]` is the order ideal generated by table coordinate j, as a
     bitmask over the full space; a word weighs the number of elements
-    in the union of the ideals over its support.
+    in the union of the ideals over its support.  The words are the
+    pairs of a head word on the first n // 2 coordinates and a tail
+    word on the rest, scanned head-major: that is lexicographic order,
+    so a leader is replaced only by a strictly lighter word that comes
+    later in it.
     """
     q, n, k = code.q, code.n, code.k
     check_budget("syndrome table size", q ** (n - k), budget)
     check_budget("syndrome table enumeration", q**n, budget)
     parity = parity_check(code)
-    rows = parity.rows
-    p = code.field.p
-    leaders: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    for coords in itertools.product(range(q), repeat=n):
-        s = tuple(sum(map(mul, row, coords)) % p for row in rows)
-        w = reduce(or_, itertools.compress(ideals, coords), 0).bit_count()
-        best = leaders.get(s)
-        if best is None or w < best[0]:
-            leaders[s] = (w, coords)
+    kernel = row_kernel(code.field.p, n - k)
+    add = kernel.add
+    columns = _packed_columns(kernel, parity.rows, n)
+    tail = _half_words(add, columns, ideals, range(n // 2, n))
+    best: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for head_s, head_union, head in _half_words(add, columns, ideals, range(n // 2)):
+        for tail_s, tail_union, tail_coords in tail:
+            s = add(head_s, tail_s)
+            w = (head_union | tail_union).bit_count()
+            leader = best.get(s)
+            if leader is None or w < leader[0]:
+                best[s] = (w, head + tail_coords)
     return SyndromeTable(
         code=code,
         parity=parity,
-        leaders={s: Vector(code.field, coords) for s, (w, coords) in leaders.items()},
+        leaders={
+            tuple(kernel.unpack(s)): Vector(code.field, coords) for s, (w, coords) in best.items()
+        },
         poset=poset,
+        _kernel=kernel,
+        _columns=columns,
+        _index={s: coords for s, (w, coords) in best.items()},
     )
 
 
@@ -182,23 +257,23 @@ def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...]
 
 @dataclass(frozen=True)
 class PlanGroup:
-    """One ordered group of components with its projected code and table.
-
-    The remaining fields act on received words in the plan's input
-    domain.  `syndrome_rows` give the table syndrome of the group's
-    block; `leader_images` map each syndrome to its leader, unprojected
-    and carried out of the decomposed domain; `keep` carries a word
-    into the decomposed domain, keeps the coordinates of this group and
-    of every group above it, and carries the result back.
-    """
+    """One ordered group of components with its projected code and table."""
 
     indices: tuple[int, ...]
     support: tuple[int, ...]
     code: Code
     table: SyndromeTable
-    syndrome_rows: tuple[tuple[int, ...], ...] = dataclass_field(repr=False)
-    leader_images: Mapping[tuple[int, ...], tuple[int, ...]] = dataclass_field(repr=False)
-    keep: tuple[tuple[int, ...], ...] = dataclass_field(repr=False)
+
+
+class _Slots(NamedTuple):
+    """Where one group sits in a plan's packed accumulator: the bit shift
+    and mask of its syndrome slots, the bit shift of its n keep-map
+    slots, and its negated leader images by packed syndrome."""
+
+    syndrome_shift: int
+    syndrome_mask: int
+    keep_shift: int
+    images: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -213,11 +288,13 @@ class DecodePlan:
     plans decoding the decomposition's own code.  The maps preserve the
     order weight, so distances agree in both domains.
 
-    Decoding never applies W or W^-1: `build_plan` folds them into each
-    group's `syndrome_rows` (H_g times the rows of W on the group's
-    support), `leader_images` (W^-1 times each unprojected leader) and
-    `keep` map (W^-1 P W, P keeping the supports of the group and the
-    groups above it).
+    Decoding never applies W or W^-1: `build_plan` folds them into one
+    packed accumulator.  Its column for input coordinate j stacks, group
+    after group from the lowest, column j of H_g times the rows of W on
+    the group's support (the group syndrome) and then column j of
+    W^-1 P_g W (the keep map, P_g keeping the supports of g and of the
+    groups above it).  Each group's leaders are stored unprojected,
+    carried out by W^-1 and negated, as packed n-slot rows.
     """
 
     decomposition: Decomposition
@@ -226,6 +303,10 @@ class DecodePlan:
     groups: tuple[PlanGroup, ...]
     to_decomposed: Matrix | None = None
     from_decomposed: Matrix | None = None
+    _kernel: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
+    _columns: tuple[list[int], ...] = dataclass_field(repr=False, compare=False, kw_only=True)
+    _slots: tuple[_Slots, ...] = dataclass_field(repr=False, compare=False, kw_only=True)
+    _out: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -244,13 +325,14 @@ def build_plan(
     is that of its pull-back to the full space with zeros on the
     dropped coordinates.  `witness`, when given, is the weight-
     preserving map carrying the code to be decoded onto the
-    decomposition's code.  Each group also gets its syndrome rows,
-    leader images and keep map (see `DecodePlan`), so that decoding
-    needs no per-word projection or change of domain.
+    decomposition's code.  The plan also gets its packed accumulator
+    (see `DecodePlan`), so that decoding needs no per-word projection
+    or change of domain.
     """
     if poset.n != d.code.n:
         raise ValueError(f"poset ground set {poset.n} does not match code length {d.code.n}")
     field, n = d.code.field, d.code.n
+    out = row_kernel(field.p, n)
     inward = Matrix.identity(field, n) if witness is None else witness
     outward = Matrix.identity(field, n) if witness is None else invert_matrix(witness)
     ordered = hierarchical_groups(d, poset)
@@ -259,30 +341,31 @@ def build_plan(
         for indices in ordered
     ]
     zero = (0,) * n
-    plan_groups = []
+    plan_groups, slots, stacked = [], [], []
     for t, (indices, support_list) in enumerate(zip(ordered, supports)):
         rows = [row for i in indices for row in d.components[i].gen.rows]
         projected = Code(Matrix(field, [[row[i - 1] for i in support_list] for row in rows]))
         table = _build_table(projected, _coordinate_ideals(poset, support_list), budget)
+        plan_groups.append(
+            PlanGroup(indices=indices, support=tuple(support_list), code=projected, table=table)
+        )
         block = Matrix(field, [inward.rows[i - 1] for i in support_list])
         kept = set().union(*supports[t:])
         kept_rows = Matrix(
             field, [row if i in kept else zero for i, row in enumerate(inward.rows, 1)]
         )
-        plan_groups.append(
-            PlanGroup(
-                indices=indices,
-                support=tuple(support_list),
-                code=projected,
-                table=table,
-                syndrome_rows=(table.parity @ block).rows,
-                leader_images={
-                    s: apply_map(outward, unproject_support(support_list, n, leader)).coords
-                    for s, leader in table.leaders.items()
-                },
-                keep=(outward @ kept_rows).rows,
+        syndrome_rows = (table.parity @ block).rows
+        images = {
+            s: out.pack(
+                (-apply_map(outward, unproject_support(support_list, n, Vector(field, c)))).coords
             )
-        )
+            for s, c in table._index.items()
+        }
+        shift, width = len(stacked) * out.w, len(syndrome_rows) * out.w
+        slots.append(_Slots(shift, (1 << width) - 1, shift + width, images))
+        stacked += syndrome_rows
+        stacked += (outward @ kept_rows).rows
+    kernel = row_kernel(field.p, len(stacked))
     return DecodePlan(
         decomposition=d,
         poset=poset,
@@ -290,6 +373,10 @@ def build_plan(
         groups=tuple(plan_groups),
         to_decomposed=witness,
         from_decomposed=None if witness is None else outward,
+        _kernel=kernel,
+        _columns=_packed_columns(kernel, stacked, n),
+        _slots=tuple(slots),
+        _out=out,
     )
 
 
@@ -321,13 +408,14 @@ def decode_leveled_alg1(plan: DecodePlan, y: Vector) -> Vector:
     maps this is M_0 y minus the leader image of every group's syndrome.
     """
     field = _plan_field(plan, y)
-    p, coords = field.p, y.coords
-    out = [sum(map(mul, row, coords)) for row in plan.groups[0].keep]
-    for group in plan.groups:
-        s = tuple(sum(map(mul, row, coords)) % p for row in group.syndrome_rows)
-        if any(s):
-            out = list(map(sub, out, group.leader_images[s]))
-    return Vector(field, out)
+    acc = _accumulate(plan._kernel.add, plan._columns, y.coords)
+    out = plan._out
+    word = acc >> plan._slots[0].keep_shift & out.coords
+    for syndrome_shift, syndrome_mask, _, images in plan._slots:
+        s = acc >> syndrome_shift & syndrome_mask
+        if s:
+            word = out.add(word, images[s])
+    return Vector(field, out.unpack(word))
 
 
 def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
@@ -340,13 +428,13 @@ def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
     group has one, the result is M_0 y.
     """
     field = _plan_field(plan, y)
-    p, coords = field.p, y.coords
-    for group in reversed(plan.groups):
-        s = tuple(sum(map(mul, row, coords)) % p for row in group.syndrome_rows)
-        if any(s):
-            kept = (sum(map(mul, row, coords)) for row in group.keep)
-            return Vector(field, map(sub, kept, group.leader_images[s]))
-    return Vector(field, (sum(map(mul, row, coords)) for row in plan.groups[0].keep))
+    acc = _accumulate(plan._kernel.add, plan._columns, y.coords)
+    out = plan._out
+    for syndrome_shift, syndrome_mask, keep_shift, images in reversed(plan._slots):
+        s = acc >> syndrome_shift & syndrome_mask
+        if s:
+            return Vector(field, out.unpack(out.add(acc >> keep_shift & out.coords, images[s])))
+    return Vector(field, out.unpack(acc >> plan._slots[0].keep_shift & out.coords))
 
 
 def table_sizes(plan: DecodePlan) -> dict[str, int]:

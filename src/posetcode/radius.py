@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import maximal_p_decomposition
 from .linear import Code
-from .poset import Poset, lower_neighbor, upper_neighbor
+from .poset import Poset, _bits, lower_neighbor, upper_neighbor
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,9 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
 def _support_meet(poset: Poset, support: int) -> int:
     """min over A subset of the support of max(|<A>|, |<support minus A>|)."""
     ideals = [0]
-    m = support
-    while m:
-        low = m & -m
-        down = poset.ideal_mask(low)
+    for i in _bits(support):
+        down = poset.ideal_mask(1 << i)
         ideals += [ideal | down for ideal in ideals]
-        m ^= low
     sizes = [ideal.bit_count() for ideal in ideals]
     # Index t lists a subset A by its bits; the last index minus t lists
     # the rest of the support, so the reversed list pairs each A with it.

@@ -37,6 +37,7 @@ from posetcode.randgen import random_code, random_hierarchical_poset, random_pos
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 class TestParityCheck:
@@ -96,7 +97,7 @@ class TestSyndromeTable:
         # the full table and every plan group table keep exactly the
         # leaders of a literal scan: same words, same insertion order
         rng = random.Random(10)
-        for field, max_n in ((F2, 7), (F3, 5), (F5, 3)):
+        for field, max_n in ((F2, 7), (F3, 5), (F5, 3), (F7, 3)):
             for _ in range(4):
                 n = rng.randint(2, max_n)
                 code = random_code(rng, field, n, rng.randint(1, n))
@@ -110,6 +111,19 @@ class TestSyndromeTable:
                         group.code, lambda v: brute_weight(unproject_support(support, n, v), p)
                     )
                     assert list(group.table.leaders.items()) == list(expected.items())
+
+    def test_syndrome_of_each_leader_is_its_key(self):
+        rng = random.Random(13)
+        for field, max_n in ((F2, 7), (F3, 5), (F5, 3), (F7, 3)):
+            for _ in range(4):
+                n = rng.randint(2, max_n)
+                code = random_code(rng, field, n, rng.randint(1, n))
+                p = random_hierarchical_poset(rng, n)
+                tables = [build_table(code, p)]
+                tables += [g.table for g in build_plan_for_code(code, p).groups]
+                for table in tables:
+                    for s, leader in table.leaders.items():
+                        assert table.syndrome(leader) == s
 
     def test_budget(self):
         code = Code.from_rows(F2, [[1] + [0] * 11])
@@ -277,7 +291,7 @@ class TestDecoding:
         # space and has an empty parity matrix
         rng = random.Random(12)
         instances = []
-        for field, max_n in ((F2, 7), (F3, 5), (F5, 3)):
+        for field, max_n in ((F2, 7), (F3, 5), (F5, 3), (F7, 3)):
             for _ in range(6):
                 n = rng.randint(2, max_n)
                 code = random_code(rng, field, n, rng.randint(1, min(4, n)))
@@ -299,6 +313,32 @@ class TestDecoding:
                     assert decode_leveled_alg1(plan, y) == reference_decode_alg1(plan, y)
                     assert decode_leveled_alg2(plan, y) == reference_decode_alg2(plan, y)
         assert empty_parity
+
+    def test_every_word_decodes_as_the_reference_at_tiny_n(self):
+        # all q^n received words, all three decoders, on hierarchical
+        # posets: plans with a witness that is not the identity and
+        # plans without one, groups whose table is the whole space, and
+        # full tables of the whole space (k = n)
+        rng = random.Random(14)
+        seen = dict.fromkeys(("witness", "no witness", "empty parity", "k = n"), 0)
+        for field, n in ((F2, 5), (F3, 4), (F5, 3), (F7, 3)):
+            identity = Matrix.identity(field, n)
+            for k in [n, *(rng.randint(1, n - 1) for _ in range(5))]:
+                code = random_code(rng, field, n, k)
+                p = random_hierarchical_poset(rng, n)
+                table = build_table(code, p)
+                plan = build_plan_for_code(code, p)
+                bare = build_plan(maximal_p_decomposition(code, p).decomposition, p)
+                seen["witness"] += plan.to_decomposed != identity
+                seen["no witness"] += bare.to_decomposed is None
+                seen["empty parity"] += sum(not g.table.parity.k for g in bare.groups)
+                seen["k = n"] += not table.parity.k
+                for y in all_vectors(field, n):
+                    assert decode_full(table, y) == reference_decode_full(table, y)
+                    for pl in (plan, bare):
+                        assert decode_leveled_alg1(pl, y) == reference_decode_alg1(pl, y)
+                        assert decode_leveled_alg2(pl, y) == reference_decode_alg2(pl, y)
+        assert all(seen.values()), seen
 
     def test_ordered_scan_keeps_valid_top_and_zeroes_below_error(self):
         # two stacked components, already decomposed (identity witness):
