@@ -27,13 +27,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import Decomposition, _row_graph_groups, maximal_p_decomposition
-from .field import PrimeField
 from .linear import (
     Code,
     Matrix,
     RowKernel,
     Vector,
-    apply_map,
     classical_rref,
     invert_matrix,
     row_kernel,
@@ -81,10 +79,7 @@ class SyndromeTable:
 
     Leaders have minimal weight within their coset; ties are broken by
     the lexicographic order on coordinate residues, so tables are
-    reproducible.  `poset` is set when the weight is a plain order
-    weight on the table's own coordinates; group tables inside a decode
-    plan instead weigh words by the ideals their coordinates generate
-    in the full space.
+    reproducible.
 
     Decoding reads the packed parity columns and a private index from
     packed syndrome to leader coordinates, in the order of `leaders`.
@@ -93,7 +88,6 @@ class SyndromeTable:
     code: Code
     parity: Matrix
     leaders: Mapping[tuple[int, ...], Vector]
-    poset: Poset | None = None
     _kernel: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
     _columns: tuple[list[int], ...] = dataclass_field(repr=False, compare=False, kw_only=True)
     _index: Mapping[int, tuple[int, ...]] = dataclass_field(
@@ -101,10 +95,7 @@ class SyndromeTable:
     )
 
     def _packed_syndrome(self, y: Vector) -> int:
-        if y.field != self.code.field:
-            raise ValueError(f"field mismatch: {y.field} vs {self.code.field}")
-        if len(y) != self.code.n:
-            raise ValueError(f"vector length {len(y)} does not match code length {self.code.n}")
+        _check_word(self.code, y)
         return _accumulate(self._kernel.add, self._columns, y.coords)
 
     def syndrome(self, y: Vector) -> tuple[int, ...]:
@@ -113,6 +104,14 @@ class SyndromeTable:
     def decode(self, y: Vector) -> Vector:
         leader = self._index[self._packed_syndrome(y)]
         return Vector(y.field, map(sub, y.coords, leader))
+
+
+def _check_word(code: Code, y: Vector) -> None:
+    """Reject a word that does not lie in the ambient space of the code."""
+    if y.field != code.field:
+        raise ValueError(f"field mismatch: {y.field} vs {code.field}")
+    if len(y) != code.n:
+        raise ValueError(f"vector length {len(y)} does not match code length {code.n}")
 
 
 def _half_words(
@@ -134,12 +133,7 @@ def _half_words(
     return words
 
 
-def _build_table(
-    code: Code,
-    ideals: Sequence[int],
-    budget: int,
-    poset: Poset | None = None,
-) -> SyndromeTable:
+def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTable:
     """Enumerate the ambient space and keep a least-weight word per syndrome.
 
     `ideals[j]` is the order ideal generated by table coordinate j, as a
@@ -172,7 +166,6 @@ def _build_table(
         leaders={
             tuple(kernel.unpack(s)): Vector(code.field, coords) for s, (w, coords) in best.items()
         },
-        poset=poset,
         _kernel=kernel,
         _columns=columns,
         _index={s: coords for s, (w, coords) in best.items()},
@@ -189,7 +182,7 @@ def build_table(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) -> Syndr
     if poset.n != code.n:
         raise ValueError(f"poset ground set {poset.n} does not match code length {code.n}")
     ideals = _coordinate_ideals(poset, range(1, code.n + 1))
-    return _build_table(code, ideals, budget, poset=poset)
+    return _build_table(code, ideals, budget)
 
 
 def decode_full(table: SyndromeTable, y: Vector) -> Vector:
@@ -242,16 +235,16 @@ def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...]
     """
     supports = [comp.support() for comp in d.components]
     # supports are disjoint, so S_i lies strictly below S_j exactly when it
-    # lies inside the ideal of every element of S_j
+    # lies inside the ideal of every element of S_j.  That relation is
+    # transitive already; bit i is set on its own, since S_i need not lie
+    # inside its own meet of ideals.
     full = (1 << poset.n) - 1
     under = [reduce(and_, _coordinate_ideals(poset, s), full) for s in supports]
-    below = [
-        (i + 1, j + 1)
+    up = [
+        1 << i | sum(1 << j for j, ideal in enumerate(under) if not mask & ~ideal)
         for i, mask in enumerate(map(_support_mask, supports))
-        for j, ideal in enumerate(under)
-        if i != j and not mask & ~ideal
     ]
-    quotient = Poset.from_relations(len(supports), below)
+    quotient = Poset(len(supports), up)
     return tuple(tuple(i - 1 for i in level) for level in cut_levels(quotient))
 
 
@@ -335,6 +328,8 @@ def build_plan(
     out = row_kernel(field.p, n)
     inward = Matrix.identity(field, n) if witness is None else witness
     outward = Matrix.identity(field, n) if witness is None else invert_matrix(witness)
+    # column j of -W^-1, the negated image of e_j, with its p multiples
+    negated = _packed_columns(out, [[-a % field.p for a in row] for row in outward.rows], n)
     ordered = hierarchical_groups(d, poset)
     supports = [
         sorted(set().union(*(d.components[i].support() for i in indices)))
@@ -355,12 +350,8 @@ def build_plan(
             field, [row if i in kept else zero for i, row in enumerate(inward.rows, 1)]
         )
         syndrome_rows = (table.parity @ block).rows
-        images = {
-            s: out.pack(
-                (-apply_map(outward, unproject_support(support_list, n, Vector(field, c)))).coords
-            )
-            for s, c in table._index.items()
-        }
+        columns = [negated[i - 1] for i in support_list]
+        images = {s: _accumulate(out.add, columns, c) for s, c in table._index.items()}
         shift, width = len(stacked) * out.w, len(syndrome_rows) * out.w
         slots.append(_Slots(shift, (1 << width) - 1, shift + width, images))
         stacked += syndrome_rows
@@ -390,16 +381,6 @@ def build_plan_for_code(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) 
     return build_plan(pd.decomposition, poset, budget, witness=pd.witness)
 
 
-def _plan_field(plan: DecodePlan, y: Vector) -> PrimeField:
-    """The plan's field, once y is checked to be a word of its space."""
-    field = plan.decomposition.code.field
-    if y.field != field:
-        raise ValueError(f"field mismatch: {y.field} vs {field}")
-    if len(y) != plan.n:
-        raise ValueError(f"vector length {len(y)} does not match code length {plan.n}")
-    return field
-
-
 def decode_leveled_alg1(plan: DecodePlan, y: Vector) -> Vector:
     """Syndrome-decode every group's projection and reassemble.
 
@@ -407,7 +388,7 @@ def decode_leveled_alg1(plan: DecodePlan, y: Vector) -> Vector:
     are ignored and the output is zero there.  With the precomputed
     maps this is M_0 y minus the leader image of every group's syndrome.
     """
-    field = _plan_field(plan, y)
+    _check_word(plan.decomposition.code, y)
     acc = _accumulate(plan._kernel.add, plan._columns, y.coords)
     out = plan._out
     word = acc >> plan._slots[0].keep_shift & out.coords
@@ -415,7 +396,7 @@ def decode_leveled_alg1(plan: DecodePlan, y: Vector) -> Vector:
         s = acc >> syndrome_shift & syndrome_mask
         if s:
             word = out.add(word, images[s])
-    return Vector(field, out.unpack(word))
+    return Vector(y.field, out.unpack(word))
 
 
 def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
@@ -427,14 +408,14 @@ def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
     nonzero syndrome s gives M_t y minus its leader image of s; when no
     group has one, the result is M_0 y.
     """
-    field = _plan_field(plan, y)
+    _check_word(plan.decomposition.code, y)
     acc = _accumulate(plan._kernel.add, plan._columns, y.coords)
     out = plan._out
     for syndrome_shift, syndrome_mask, keep_shift, images in reversed(plan._slots):
         s = acc >> syndrome_shift & syndrome_mask
         if s:
-            return Vector(field, out.unpack(out.add(acc >> keep_shift & out.coords, images[s])))
-    return Vector(field, out.unpack(acc >> plan._slots[0].keep_shift & out.coords))
+            return Vector(y.field, out.unpack(out.add(acc >> keep_shift & out.coords, images[s])))
+    return Vector(y.field, out.unpack(acc >> plan._slots[0].keep_shift & out.coords))
 
 
 def table_sizes(plan: DecodePlan) -> dict[str, int]:

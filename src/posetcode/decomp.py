@@ -12,9 +12,10 @@ Both run on the packed rows of `linear.RowKernel`, one int per
 coordinate j holding column j of the generator in its coordinate slots
 and row j of the witness in its tag slots.  A move on column j takes
 the same combination of witness rows as of columns, so a single kernel
-addition carries out both; the split search keeps its bases as tuples
-of packed columns, which also serve as the keys of the states it has
-visited.
+addition carries out both.  The split search builds its candidates on
+the whole packed columns, so a split it finds is applied by assigning
+them; it keeps its bases as tuples of packed columns, which also serve
+as the keys of the states it has visited.
 """
 
 from __future__ import annotations
@@ -297,20 +298,14 @@ class _Canonicalizer:
             if not changed:
                 return
 
-    def apply_split(self, choices: dict[int, dict[int, int]]) -> None:
-        """Replace the chosen columns simultaneously; choices[r] maps
-        source columns j above r to coefficients x with
-        new col_r = col_r + sum x * col_j."""
-        old = tuple(self.cols)
-        add, scale = self.kernel.add, self.kernel.scale
-        for r, combo in choices.items():
-            col = old[r]
-            for j, x in combo.items():
-                col = add(col, scale(old[j], x))
+    def apply_split(self, columns: dict[int, int]) -> None:
+        """Replace the chosen columns, each by a whole packed column
+        (coordinates and witness tags) that the split search built."""
+        for r, col in columns.items():
             self.cols[r] = col
         self.rereduce()
 
-    def find_split(self) -> dict[int, dict[int, int]] | None:
+    def find_split(self) -> dict[int, int] | None:
         """Search every current component for a reachable two-way split.
 
         Representatives may be re-chosen within a component (columns may
@@ -334,30 +329,31 @@ class _Canonicalizer:
                 return result
         return None
 
-    def _split_component(self, support: list[int]) -> dict[int, dict[int, int]] | None:
+    def _split_component(self, support: list[int]) -> dict[int, int] | None:
         support_set = set(support)
         heights = self.poset.heights()
         order = sorted(support, key=lambda j: (-heights[j], j))
-        local_ups = {r: [j for j in self.ups[r] if j in support_set] for r in support}
-        kernel = row_kernel(self.p, self.k)
-        add, reduce, extend = kernel.add, kernel.reduce, kernel.extend
-        columns = {j: self.cols[j] & kernel.coords for j in support}
-        candidates_at: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        add, multiples, coords = self.kernel.add, self.kernel.multiples, self.kernel.coords
+        search = row_kernel(self.p, self.k)  # coordinate parts need no tag slots
+        reduce, extend = search.reduce, search.extend
+        candidates_at: dict[int, list[tuple[int, int]]] = {}
 
-        def candidates(r: int) -> list[tuple[int, tuple[int, ...]]]:
-            """Nonzero col_r + sum x_j col_j over the sources j, with the
-            coefficients, in itertools.product order."""
+        def candidates(r: int) -> list[tuple[int, int]]:
+            """Every col_r + sum x_j col_j over the sources j above r in the
+            component whose coordinates are nonzero, in itertools.product
+            order of the x_j, as (coordinates, whole column with tags)."""
             if r not in candidates_at:
-                out = [(columns[r], ())]
-                for j in local_ups[r]:
-                    mult = kernel.multiples(columns[j])
-                    out = [(add(h, m), xs + (x,)) for h, xs in out for x, m in enumerate(mult)]
-                candidates_at[r] = [(h, xs) for h, xs in out if h]
+                out = [self.cols[r]]
+                for j in self.ups[r]:
+                    if j in support_set:
+                        mult = multiples(self.cols[j])
+                        out = [add(h, m) for h in out for m in mult]
+                candidates_at[r] = [(h & coords, h) for h in out if h & coords]
             return candidates_at[r]
 
         seen: set = set()
         # state: (position, side bases, combined basis, chosen columns); chosen
-        # columns form a linked list of (parent, column, coefficients).  A side
+        # columns form a linked list of (parent, index, whole column).  A side
         # is used exactly when its basis is nonempty: column 0 always goes to
         # side 0 with a nonzero candidate, and a candidate reduces to zero only
         # against a nonempty basis.
@@ -366,13 +362,11 @@ class _Canonicalizer:
             idx, b1, b2, comb, chosen = stack.pop()
             if idx == len(order):
                 if b1 and b2:
-                    choices = {}
+                    columns = {}
                     while chosen is not None:
-                        chosen, r, xs = chosen
-                        combo = {j: x for j, x in zip(local_ups[r], xs) if x}
-                        if combo:
-                            choices[r] = combo
-                    return choices
+                        chosen, r, col = chosen
+                        columns[r] = col
+                    return columns
                 continue
             key = (idx, b1, b2)
             if key in seen:
@@ -383,7 +377,7 @@ class _Canonicalizer:
             for side in sides:
                 own = b1 if side == 0 else b2
                 tried, seen_spans = set(), set()
-                for h, xs in candidates(r):
+                for h, col in candidates(r):
                     red = reduce(h, own)
                     if red:
                         if red in tried:
@@ -401,7 +395,7 @@ class _Canonicalizer:
                         new_own, new_comb = own, comb
                     stack.append((idx + 1, new_own if side == 0 else b1,
                                   new_own if side == 1 else b2,
-                                  new_comb, (chosen, r, xs)))
+                                  new_comb, (chosen, r, col)))
         return None
 
 

@@ -33,8 +33,9 @@ class Vector:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: PrimeField, coords: Iterable[int]):
+        p = field.p
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", tuple(c % field.p for c in coords))
+        object.__setattr__(self, "coords", tuple(c % p for c in coords))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
@@ -168,7 +169,8 @@ class RowKernel:
     def unpack(self, row: int, start: int = 0, stop: int | None = None) -> list[int]:
         """Slots start, ..., stop - 1 (by default the m coordinates)."""
         w, slot = self.w, self.slot
-        return [row >> (i * w) & slot for i in range(start, self.m if stop is None else stop)]
+        stop = self.m if stop is None else stop
+        return [row >> shift & slot for shift in range(start * w, stop * w, w)]
 
     def unit(self, i: int) -> int:
         """The row with 1 in slot i and 0 elsewhere."""

@@ -22,7 +22,7 @@ class Poset:
     positions.  Instances are immutable and hashable.
     """
 
-    def __init__(self, n: int, up_masks: Sequence[int], _validated: bool = False):
+    def __init__(self, n: int, up_masks: Sequence[int]):
         if not 1 <= n <= MAX_GROUND_SET:
             raise ValueError(f"ground-set size must be in [1, {MAX_GROUND_SET}], got {n}")
         up = tuple(up_masks)
@@ -30,18 +30,9 @@ class Poset:
             raise ValueError("need one relation mask per element")
         self._n = n
         self._up = up  # bit j of _up[i] set  <=>  (i+1) <= (j+1)
-        if not _validated:
-            self._validate()
-        # down[j] = elements below-or-equal j; the ideal machinery runs on these
+        # down[j] = elements below-or-equal j; the ideal machinery runs on these.
+        # The same walk over the pairs checks the order axioms.
         down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
-        self._down = tuple(down)
-        self._heights: tuple[int, ...] | None = None
-
-    def _validate(self) -> None:
-        n, up = self._n, self._up
         for i in range(n):
             if not up[i] >> i & 1:
                 raise ValueError(f"relation is not reflexive at element {i + 1}")
@@ -52,6 +43,9 @@ class Poset:
                     )
                 if up[j] & ~up[i]:
                     raise ValueError(f"relation is not transitive above element {i + 1}")
+                down[j] |= 1 << i
+        self._down = tuple(down)
+        self._heights: tuple[int, ...] | None = None
 
     # -- construction ------------------------------------------------
 
@@ -87,7 +81,7 @@ class Poset:
                         "relations contain a cycle (antisymmetry violated): "
                         + " <= ".join(str(x) for x in cycle)
                     )
-        return cls(n, up, _validated=True)
+        return cls(n, up)
 
     @classmethod
     def chain(cls, n: int, order: Sequence[int] | None = None) -> "Poset":
@@ -99,21 +93,27 @@ class Poset:
 
     @classmethod
     def antichain(cls, n: int) -> "Poset":
-        return cls(n, [1 << i for i in range(n)], _validated=True)
+        return cls(n, [1 << i for i in range(n)])
 
     @classmethod
     def hierarchical_from_levels(cls, blocks: Sequence[Iterable[int]]) -> "Poset":
-        """Hierarchical poset whose i-th level is blocks[i] (bottom first)."""
-        elems = [sorted(set(b)) for b in blocks]
+        """Hierarchical poset whose i-th level is blocks[i] (bottom first).
+
+        Every element lies below every element of each higher level, and
+        the elements of one level are pairwise incomparable.
+        """
+        elems = [set(b) for b in blocks]
         flat = [x for b in elems for x in b]
         n = len(flat)
         if sorted(flat) != list(range(1, n + 1)):
             raise ValueError("level blocks must partition the ground set")
-        pairs = []
-        for lo in range(len(elems)):
-            for hi in range(lo + 1, len(elems)):
-                pairs.extend((a, b) for a in elems[lo] for b in elems[hi])
-        return cls.from_relations(n, pairs)
+        up = [0] * n
+        above = 0  # every element of the levels above the current one
+        for block in reversed(elems):
+            for x in block:
+                up[x - 1] = above | 1 << (x - 1)
+            above |= sum(1 << (x - 1) for x in block)
+        return cls(n, up)
 
     # -- basic queries -----------------------------------------------
 
@@ -210,13 +210,9 @@ class Poset:
         return all(self._up[i] == 1 << i for i in range(self._n))
 
     def is_hierarchical(self) -> bool:
-        """Whether any two elements at different heights are comparable."""
-        h = self.heights()
-        for i in range(self._n):
-            for j in range(self._n):
-                if h[i] < h[j] and not self._up[i] >> j & 1:
-                    return False
-        return True
+        """Whether any two elements at different heights are comparable,
+        that is, whether the order is its own upper neighbor."""
+        return upper_neighbor(self) == self
 
     # -- order between posets -------------------------------------------
 
@@ -287,16 +283,7 @@ def upper_neighbor(p: Poset) -> Poset:
     Its i-th level is exactly the i-th level of p: a < b whenever
     h(a) < h(b).
     """
-    h = p.heights()
-    n = p.n
-    up = []
-    for i in range(n):
-        mask = 1 << i
-        for j in range(n):
-            if h[i] < h[j]:
-                mask |= 1 << j
-        up.append(mask)
-    return Poset(n, up, _validated=True)
+    return Poset.hierarchical_from_levels(p.levels())
 
 
 def complete_cuts(p: Poset) -> list[frozenset[int]]:

@@ -11,7 +11,7 @@ import itertools
 from posetcode.decode import parity_check, unproject_support
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, Vector, p_distance
-from posetcode.poset import Poset
+from posetcode.poset import Poset, cut_levels
 
 
 def all_vectors(field: PrimeField, n: int) -> list[Vector]:
@@ -155,6 +155,21 @@ def reference_decode_alg2(plan, y: Vector) -> Vector:
             break
         out = out + received
     return _reference_apply(plan.from_decomposed, out)
+
+
+def reference_hierarchical_groups(d, poset: Poset) -> tuple[tuple[int, ...], ...]:
+    """Hierarchical groups from the quotient order closed by
+    `Poset.from_relations`, component i below j when every element of
+    its support is strictly below every element of j's."""
+    supports = [comp.support() for comp in d.components]
+    below = [
+        (i + 1, j + 1)
+        for i, lo in enumerate(supports)
+        for j, hi in enumerate(supports)
+        if i != j and all(poset.strictly_less(a, b) for a in lo for b in hi)
+    ]
+    quotient = Poset.from_relations(len(supports), below)
+    return tuple(tuple(i - 1 for i in level) for level in cut_levels(quotient))
 
 
 # -- reference canonicalizer ----------------------------------------------

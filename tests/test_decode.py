@@ -10,6 +10,7 @@ from conftest import (
     reference_decode_alg1,
     reference_decode_alg2,
     reference_decode_full,
+    reference_hierarchical_groups,
     reference_leaders,
 )
 from posetcode.budget import BudgetExceededError
@@ -197,6 +198,34 @@ class TestGrouping:
                 lo = set().union(*(d.components[i].support() for i in gi))
                 hi = set().union(*(d.components[j].support() for j in gj))
                 assert all(p.strictly_less(a, b) for a in lo for b in hi)
+
+    def test_hierarchical_groups_match_the_closed_quotient(self):
+        rng = random.Random(12)
+        deep = set()  # fields met with at least three groups
+        for field in (F2, F3, F5):
+            for t in range(40):
+                n = rng.randint(3, 7)
+                if t % 2:
+                    # one or two components inside each level of a hierarchical order
+                    p = random_hierarchical_poset(rng, n)
+                    rows = []
+                    for level in p.levels():
+                        members = sorted(level)
+                        cut = rng.randint(1, len(members))
+                        for part in (members[:cut], members[cut:]):
+                            if part:
+                                rows.append([rng.randrange(1, field.p) if i + 1 in part else 0
+                                             for i in range(n)])
+                    d = components_from_matrix(Matrix(field, rows))
+                else:
+                    p = random_poset(rng, n)
+                    code = random_code(rng, field, n, rng.randint(1, n))
+                    d = maximal_p_decomposition(code, p).decomposition
+                groups = hierarchical_groups(d, p)
+                assert groups == reference_hierarchical_groups(d, p)
+                if len(groups) >= 3:
+                    deep.add(field.p)
+        assert deep == {2, 3, 5}
 
 
 class TestDecoding:

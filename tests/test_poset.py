@@ -144,6 +144,41 @@ def test_neighbors_extremal_for_all_small_posets():
                     assert leq_poset(h, lo)
 
 
+def _cross_level_closure(n, blocks):
+    """The order generated by a < b for a in a lower block, b in a higher one."""
+    return Poset.from_relations(
+        n, [(a, b) for lo, hi in itertools.combinations(blocks, 2) for a in lo for b in hi]
+    )
+
+
+def test_hierarchy_matches_its_definitions_on_all_small_posets():
+    # The neighbor tests use is_hierarchical as their oracle, so it and the
+    # level constructions are checked here against their literal statements.
+    for n in range(1, 5):
+        for blocks in oracle._ordered_set_partitions(list(range(1, n + 1))):
+            expected = _cross_level_closure(n, blocks)
+            for given in (blocks, [b[::-1] for b in blocks], [iter(b) for b in blocks]):
+                assert Poset.hierarchical_from_levels(given) == expected
+        posets = list(oracle.enum_posets(n))
+        hierarchical = 0
+        for p in posets + list(oracle.enum_hierarchical(n)):
+            h = brute_heights(p)
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if h[a - 1] < h[b - 1]]
+            assert p.is_hierarchical() == all(p.leq(a, b) for a, b in pairs)
+            assert upper_neighbor(p) == Poset.from_relations(n, pairs)
+            hierarchical += p.is_hierarchical()
+        # one hierarchical order per ordered partition, each met twice
+        assert hierarchical == 2 * sum(p.is_hierarchical() for p in posets) == 2 * oracle.ordered_bell(n)
+
+
+def test_levels_that_do_not_partition_the_ground_set_are_rejected():
+    for blocks in ([[1, 2], [2]], [[1], [3]], [[2]], [[0, 1]], [[1], [1, 2]]):
+        with pytest.raises(ValueError, match="level blocks must partition the ground set"):
+            Poset.hierarchical_from_levels(blocks)
+    with pytest.raises(ValueError, match="ground-set size must be in"):
+        Poset.hierarchical_from_levels([])
+
+
 def test_no_minimum_hierarchical_upper_bound_exists_in_general():
     p = Poset.from_relations(3, [(1, 2)])
     q1 = upper_neighbor(p)
