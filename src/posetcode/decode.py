@@ -328,15 +328,17 @@ def build_plan(
     out = row_kernel(field.p, n)
     inward = Matrix.identity(field, n) if witness is None else witness
     outward = Matrix.identity(field, n) if witness is None else invert_matrix(witness)
-    # column j of -W^-1, the negated image of e_j, with its p multiples
-    negated = _packed_columns(out, [[-a % field.p for a in row] for row in outward.rows], n)
+    # the p multiples of column j of W^-1, the image of e_j, and of its negation
+    outward_columns = _packed_columns(out, outward.rows, n)
+    negated = [[0, *multiples[:0:-1]] for multiples in outward_columns]
     ordered = hierarchical_groups(d, poset)
     supports = [
         sorted(set().union(*(d.components[i].support() for i in indices)))
         for indices in ordered
     ]
-    zero = (0,) * n
-    plan_groups, slots, stacked = [], [], []
+    plan_groups, slots = [], []
+    stacked = [0] * n  # packed column j of the accumulator, filled group by group
+    shift = 0
     for t, (indices, support_list) in enumerate(zip(ordered, supports)):
         rows = [row for i in indices for row in d.components[i].gen.rows]
         projected = Code(Matrix(field, [[row[i - 1] for i in support_list] for row in rows]))
@@ -344,19 +346,21 @@ def build_plan(
         plan_groups.append(
             PlanGroup(indices=indices, support=tuple(support_list), code=projected, table=table)
         )
-        block = Matrix(field, [inward.rows[i - 1] for i in support_list])
-        kept = set().union(*supports[t:])
-        kept_rows = Matrix(
-            field, [row if i in kept else zero for i, row in enumerate(inward.rows, 1)]
-        )
-        syndrome_rows = (table.parity @ block).rows
+        kept = sorted(set().union(*supports[t:]))
+        kept_images = [outward_columns[i - 1] for i in kept]
+        keep_shift = shift + table._kernel.m * out.w
+        # H_g times column j of W on the group's support, and W^-1 P_g W e_j
+        for j, column in enumerate(zip(*inward.rows)):
+            syndrome = _accumulate(
+                table._kernel.add, table._columns, [column[i - 1] for i in support_list]
+            )
+            keep = _accumulate(out.add, kept_images, [column[i - 1] for i in kept])
+            stacked[j] |= syndrome << shift | keep << keep_shift
         columns = [negated[i - 1] for i in support_list]
         images = {s: _accumulate(out.add, columns, c) for s, c in table._index.items()}
-        shift, width = len(stacked) * out.w, len(syndrome_rows) * out.w
-        slots.append(_Slots(shift, (1 << width) - 1, shift + width, images))
-        stacked += syndrome_rows
-        stacked += (outward @ kept_rows).rows
-    kernel = row_kernel(field.p, len(stacked))
+        slots.append(_Slots(shift, (1 << (keep_shift - shift)) - 1, keep_shift, images))
+        shift = keep_shift + n * out.w
+    kernel = row_kernel(field.p, shift // out.w)
     return DecodePlan(
         decomposition=d,
         poset=poset,
@@ -365,7 +369,7 @@ def build_plan(
         to_decomposed=witness,
         from_decomposed=None if witness is None else outward,
         _kernel=kernel,
-        _columns=_packed_columns(kernel, stacked, n),
+        _columns=tuple(map(kernel.multiples, stacked)),
         _slots=tuple(slots),
         _out=out,
     )

@@ -21,7 +21,7 @@ as the keys of the states it has visited.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linear import Basis, Code, Matrix, RowKernel, is_generalized_rref, p_weight, row_kernel
 from .poset import Poset
@@ -214,6 +214,44 @@ def _coset_representative(
     return kernel.reduce(cols[r], basis)
 
 
+def _dead_column(
+    reduce: Callable[[int, Basis], int],
+    extend: Callable[[Basis, int], Basis | None],
+    cosets: Iterable[tuple[int, Basis]],
+    b1: Basis,
+    b2: Basis,
+    comb: Basis,
+) -> bool:
+    """Whether some column has no candidate that either side of a split
+    state can take.
+
+    A column (c, u) has as candidates the nonzero vectors of the coset
+    c + span(u).  A side with basis b can take a candidate h when h lies
+    in span(b) or outside span(comb) = span(b1) + span(b2).  This is
+    decided on the subspaces, with a few reductions per column however
+    many candidates it has.
+    """
+    for c, u in cosets:
+        if reduce(c, comb) or any(reduce(row, comb) for _, row in u):
+            continue  # some candidate lies outside span(comb)
+        rest1, rest2 = reduce(c, b1), reduce(c, b2)
+        if not (rest1 and rest2):
+            continue  # c itself lies in a side (and is never zero in a component)
+        for b, rest in ((b1, rest1), (b2, rest2)):
+            # reducing by b is linear, so the coset meets span(b) when the
+            # rest of c lies in the span of the rests of u; the meet is {0}
+            # alone when moreover c lies in span(u) and span(u) meets span(b)
+            # in 0 alone, that is, when the rests of u are independent
+            rests: Basis = ()
+            for _, row in u:
+                rests = extend(rests, reduce(row, b)) or rests
+            if not reduce(rest, rests) and (reduce(c, u) or len(rests) < len(u)):
+                break
+        else:
+            return True
+    return False
+
+
 class _Canonicalizer:
     """Carries the working generator and the accumulated witness map.
 
@@ -314,6 +352,15 @@ class _Canonicalizer:
         span sets stay independent.  Exact but worst-case exponential in
         the component dimension; fine at the scales this library
         targets.  Components are searched by their smallest row.
+
+        The matrix is in right-most-pivot reduced form whenever this
+        runs (after construction, coset passes and every applied split),
+        so a component whose columns cannot move is a connected matroid
+        and is skipped.  Inside a search, states in which some column
+        is left with no candidate either side could ever take are
+        dropped.  Both cuts remove only states holding no split, so the
+        split found is the one the full depth-first search finds first
+        (see `_split_component`).
         """
         masks = [self.kernel.nonzero(c) for c in self.cols]
         components = []
@@ -330,7 +377,36 @@ class _Canonicalizer:
         return None
 
     def _split_component(self, support: list[int]) -> dict[int, int] | None:
+        """The first split of one component in depth-first order, or None.
+
+        Columns are placed highest first, each on one of two sides with
+        one of its candidates; the side bases must keep independent
+        spans.  Two cuts remove only states that hold no split, so the
+        first split found, and the canonical output, do not depend on
+        them:
+
+        - A component in which no column has a column strictly above it
+          inside the support cannot split.  The matrix is in
+          right-most-pivot reduced form here, a standard representation
+          [I | A] up to column order, and its matroid is connected
+          exactly when the bipartite row-column graph of A is; one
+          component of `_row_graph_groups` is such a connected graph.
+          With every column fixed, a split would be a separation of
+          that connected matroid.
+        - A state is dead when some column still to be placed has only
+          candidates h in span(b1 + b2) but in neither span(b1) nor
+          span(b2): neither side can take h now, and deeper states
+          cannot either.  The sides only grow and keep independent
+          spans, so h = u1 + u2 with u2 a nonzero vector of the second
+          side never enters the first side's span, and likewise for the
+          second.  Whether a state is dead depends only on its key.
+          A column's candidates are the nonzero vectors of a coset, so
+          `_dead_column` decides this on subspaces, not candidate by
+          candidate: a column with m sources has p^m candidates.
+        """
         support_set = set(support)
+        if not any(j in support_set for r in support for j in self.ups[r]):
+            return None
         heights = self.poset.heights()
         order = sorted(support, key=lambda j: (-heights[j], j))
         add, multiples, coords = self.kernel.add, self.kernel.multiples, self.kernel.coords
@@ -350,6 +426,15 @@ class _Canonicalizer:
                         out = [add(h, m) for h in out for m in mult]
                 candidates_at[r] = [(h & coords, h) for h in out if h & coords]
             return candidates_at[r]
+
+        # each column as (coordinates, echelon basis of its sources' coordinates)
+        cosets = []
+        for r in order:
+            u: Basis = ()
+            for j in self.ups[r]:
+                if j in support_set:
+                    u = extend(u, self.cols[j] & coords) or u
+            cosets.append((self.cols[r] & coords, u))
 
         seen: set = set()
         # state: (position, side bases, combined basis, chosen columns); chosen
@@ -372,6 +457,9 @@ class _Canonicalizer:
             if key in seen:
                 continue
             seen.add(key)
+            # with the second side empty, span(b1 + b2) = span(b1) and no column is dead
+            if b2 and _dead_column(reduce, extend, cosets[idx:], b1, b2, comb):
+                continue
             r = order[idx]
             sides = (0,) if idx == 0 else (0, 1)
             for side in sides:

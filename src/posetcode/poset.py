@@ -73,15 +73,23 @@ class Poset:
             for i in range(n):
                 if up[i] & bit_k:
                     up[i] |= mask_k
-        for i in range(n):
-            for j in range(i + 1, n):
-                if up[i] >> j & 1 and up[j] >> i & 1:
-                    cycle = _find_cycle(n, pair_list, i + 1, j + 1)
-                    raise ValueError(
-                        "relations contain a cycle (antisymmetry violated): "
-                        + " <= ".join(str(x) for x in cycle)
-                    )
-        return cls(n, up)
+        try:
+            return cls(n, up)
+        except ValueError:
+            # the closure is reflexive and transitive, so the axiom walk
+            # failed on two mutually related elements: name a cycle through
+            # the first such pair
+            i, j = next(
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if up[i] >> j & 1 and up[j] >> i & 1
+            )
+        cycle = _find_cycle(n, pair_list, i + 1, j + 1)
+        raise ValueError(
+            "relations contain a cycle (antisymmetry violated): "
+            + " <= ".join(str(x) for x in cycle)
+        )
 
     @classmethod
     def chain(cls, n: int, order: Sequence[int] | None = None) -> "Poset":
@@ -107,13 +115,7 @@ class Poset:
         n = len(flat)
         if sorted(flat) != list(range(1, n + 1)):
             raise ValueError("level blocks must partition the ground set")
-        up = [0] * n
-        above = 0  # every element of the levels above the current one
-        for block in reversed(elems):
-            for x in block:
-                up[x - 1] = above | 1 << (x - 1)
-            above |= sum(1 << (x - 1) for x in block)
-        return cls(n, up)
+        return cls(n, _level_up_masks(elems, n))
 
     # -- basic queries -----------------------------------------------
 
@@ -212,7 +214,7 @@ class Poset:
     def is_hierarchical(self) -> bool:
         """Whether any two elements at different heights are comparable,
         that is, whether the order is its own upper neighbor."""
-        return upper_neighbor(self) == self
+        return self._up == tuple(_level_up_masks(self.levels(), self._n))
 
     # -- order between posets -------------------------------------------
 
@@ -236,6 +238,19 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _level_up_masks(blocks: Sequence[Iterable[int]], n: int) -> list[int]:
+    """Up masks of the hierarchical order whose levels, bottom first, are
+    the blocks, a partition of {1, ..., n}: each element lies below
+    itself and every element of each higher level."""
+    up = [0] * n
+    above = 0  # every element of the levels above the current one
+    for block in reversed(blocks):
+        for x in block:
+            up[x - 1] = above | 1 << (x - 1)
+        above |= sum(1 << (x - 1) for x in block)
+    return up
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reference_canonical_form, reference_coset_reduce
-from posetcode import oracle
+from posetcode import decomp, oracle
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, is_generalized_rref, row_reduce_inverse
 from posetcode.decomp import (
@@ -272,6 +274,87 @@ class TestCanonicalForm:
         assert gstar.rows == ref_gstar.rows
         assert witness.rows == ref_witness.rows
         validate_p_decomposition(maximal_p_decomposition(code, p), p)
+
+    def test_pruned_search_matches_reference(self, monkeypatch):
+        # The split search skips components whose columns cannot move and
+        # drops states with a dead column; the reference does neither.
+        # Count both cuts across the sample, so that a sample which never
+        # exercises them does not pass unseen.
+        fired = {"skipped": 0, "pruned": 0}
+        split_component, dead_column = decomp._Canonicalizer._split_component, decomp._dead_column
+
+        def counting_split_component(self, support):
+            inside = set(support)
+            fired["skipped"] += not any(j in inside for r in support for j in self.ups[r])
+            return split_component(self, support)
+
+        def counting_dead_column(*args):
+            dead = dead_column(*args)
+            fired["pruned"] += dead
+            return dead
+
+        monkeypatch.setattr(decomp._Canonicalizer, "_split_component", counting_split_component)
+        monkeypatch.setattr(decomp, "_dead_column", counting_dead_column)
+
+        # q with the largest n at which the unpruned reference stays fast;
+        # n is drawn by the seed, uniformly up to that bound
+        @settings(max_examples=500, deadline=None)
+        @given(
+            st.sampled_from(((2, 14), (3, 11), (5, 9), (7, 8))),
+            st.sampled_from((0, 0.1, 0.2)),
+            st.integers(0, 2**32),
+        )
+        def check(q_and_bound, density, seed):
+            q, bound = q_and_bound
+            rng = random.Random(seed)
+            n = rng.randint(2, bound)
+            p = random_poset(rng, n, density)
+            code = random_code(rng, PrimeField(q), n, rng.randint(1, n))
+            gstar, witness = canonical_form(code.gen, p)
+            ref_gstar, ref_witness = reference_canonical_form(code.gen, p)
+            assert gstar.rows == ref_gstar.rows
+            assert witness.rows == ref_witness.rows
+
+        check()
+        assert fired["skipped"] > 0
+        assert fired["pruned"] > 0
+
+    # sha256 of [rows of the canonical matrix, rows of the witness] as JSON,
+    # recorded from the search before it was pruned
+    PINNED = {
+        # GF(2), n = 24, k = 12, density 0.1: the poset drawn first, then the code
+        "gf2-n24-seed0": "fee662daea21d421053c68edf2dcdf9b7e252b3cfff8f5dccf41d3dd928c3d8e",
+        "gf2-n24-seed1": "2864795ca8629829f1aed42f812e4db35c158db734c6dba9b568dcc915638cb8",
+        "gf2-n24-seed3": "0d0c11f6c000576e4659ce8defb2c25522bf6ba4285d72b0ab231c98ba425bea",
+        "gf2-n24-seed5": "47e56ccd335f0036dbb32e166827e442c462513d6ac65b1b1018060bdea61756",
+        "gf2-n24-seed6": "53b0e26a6f24d5b721cd73e8b79a8ac0eb53d4715203d89b380f6069c1bb517f",
+        "gf2-n24-seed7": "6330aae476571ddc3d9ddde829ad74c1c91fe7259703d93ac84ad9a12d565887",
+        # GF(7), n = 11, k = 7: the code drawn first; the unpruned search took 77 s
+        "gf7-n11": "78584cecacbb61b54cc3f7f327b1511d6553e62f4a21e557066b61d0fa525a12",
+        # GF(7), n = 9, density 0.3: 7^4 candidates for one column; the
+        # unpruned search took 98 s, and a forward check testing candidate
+        # by candidate would take longer still
+        "gf7-n9": "94df4be6ea1c3186997946e0126c68ca11365f5dd97eb00191dc9fd099fdb0f6",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_outputs(self, name):
+        if name == "gf7-n11":
+            rng = random.Random(1565341324)
+            code = random_code(rng, PrimeField(7), 11, 7)
+            p = random_poset(rng, 11, rng.choice((0.1, 0.3, 0.5)))
+        elif name == "gf7-n9":
+            rng = random.Random(5815)
+            n = rng.randint(3, 9)
+            p = random_poset(rng, n, 0.3)
+            code = random_code(rng, PrimeField(7), n, rng.randint(1, n))
+        else:
+            rng = random.Random(int(name.rsplit("seed", 1)[1]))
+            p = random_poset(rng, 24, 0.1)
+            code = random_code(rng, F2, 24, 12)
+        gstar, witness = canonical_form(code.gen, p)
+        digest = hashlib.sha256(json.dumps([gstar.rows, witness.rows]).encode()).hexdigest()
+        assert digest == self.PINNED[name]
 
 
 class TestProfileAndDegree:
