@@ -184,6 +184,15 @@ class RowKernel:
         """
         return ((row & self.coords) + self._fill) & self._top
 
+    def support(self, row: int) -> int:
+        """The coordinate mask of row: bit i set when slot i is nonzero.
+
+        Shifted down, the `nonzero` flags sit w bits apart from bit 0,
+        so every w-th binary digit, read lowest first, is one slot's.
+        """
+        flags = self.nonzero(row) >> (self.w - 1)
+        return int(bin(flags)[:1:-1][:: self.w][::-1], 2)
+
     def multiples(self, row: int) -> list[int]:
         """c * row for c = 0, ..., p - 1."""
         add = self.add

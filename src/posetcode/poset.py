@@ -170,8 +170,17 @@ class Poset:
 
     def maximal_elements(self, elements: Iterable[int]) -> frozenset[int]:
         """Elements of the subset with nothing of the subset strictly above."""
-        mask = self._check_subset(elements)
-        return frozenset(i + 1 for i in _bits(mask) if not self._up[i] & ~(1 << i) & mask)
+        return _mask_to_set(self.maximal_mask(self._check_subset(elements)))
+
+    def maximal_mask(self, mask: int) -> int:
+        """The elements of a 0-indexed bitmask with nothing of the mask
+        strictly above them, as a bitmask."""
+        up = self._up
+        top = 0
+        for i in _bits(mask):
+            if up[i] & mask == 1 << i:
+                top |= 1 << i
+        return top
 
     # -- heights and levels -------------------------------------------
 

@@ -1,12 +1,22 @@
-"""Exact packing radius by support bipartition, and hierarchical-neighbor bounds."""
+"""Exact packing radius from the maxima of codeword supports, and
+hierarchical-neighbor bounds.
+
+The exact radius never enumerates the ambient space.  It walks one
+nonzero codeword per scalar class as a packed row, keeps the distinct
+maxima of their supports, and scans the bipartitions of each maxima
+set in order of a lower bound on its value, stopping once the bound
+reaches the best value found.  The budget is charged the q^k codewords
+up front, then 2^(|M| - 1) for each maxima set M actually scanned.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import maximal_p_decomposition
-from .linear import Code
+from .linear import Code, row_kernel
 from .poset import Poset, _bits, lower_neighbor, upper_neighbor
 
 
@@ -30,38 +40,89 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
     nonzero codewords c, of min over all x of max(w(x), w(x - c)).  Each
     coordinate of S = supp(c) lies in supp(x) or in supp(x - c), and
     coordinates outside S never help, so the inner minimum is
-    min over A subset of S of max(|<A>|, |<S minus A>|).  That depends
-    only on S, whatever q is, and can only grow with S, so only the
-    inclusion-minimal supports are scanned.  The cost is the q^k
-    codewords plus 2^|S| per minimal support.
+    min over A subset of S of max(|<A>|, |<S minus A>|).  Only the
+    maximal elements M of S matter: for B = A meet M, the part of S
+    below B generates <B>, inside <A>, and the rest of S generates
+    <M minus B>, inside <S minus A>.  So the value is
+    min over B subset of M of max(|<B>|, |<M minus B>|), the same for
+    every q, and since the pair is symmetric the lowest element of M
+    stays in B: 2^(|M| - 1) bipartitions.
+
+    Each distinct M is scanned once, in increasing order of the lower
+    bound max(ceil(|<M>| / 2), largest |<m>| for m in M), which holds
+    because <B> and <M minus B> cover <M> and each m lies in one of
+    them.  The scan stops once the bound reaches the best value found.
+    The value only grows with S, so no minimal-support filter is needed.
+
+    The budget is charged the q^k codewords, checked first, then a
+    running total of 2^(|M| - 1) over the maxima sets M actually
+    scanned, checked before each scan.
     """
     if poset.n != code.n:
         raise ValueError(f"poset ground set {poset.n} does not match code length {code.n}")
     check_budget("packing radius codeword enumeration", code.q**code.k, budget)
-    supports = {c.support_mask() for c in code.codewords(budget)}
-    supports.discard(0)
-    minimal: list[int] = []
-    for s in sorted(supports, key=int.bit_count):
-        if not any(m & s == m for m in minimal):
-            minimal.append(s)
-    check_budget(
-        "packing radius support bipartition",
-        sum(1 << s.bit_count() for s in minimal),
-        budget,
+    downs = [poset.ideal_mask(1 << i) for i in range(code.n)]
+    queue = sorted(
+        (_lower_bound(downs, top), top.bit_count(), top)
+        for top in {poset.maximal_mask(s) for s in set(_supports(code))}
     )
-    return min(_support_meet(poset, s) for s in minimal) - 1
+    best = code.n + 1  # above every value
+    charged = 0
+    for bound, size, top in queue:
+        if bound >= best:
+            break
+        charged += 1 << (size - 1)
+        check_budget("packing radius support bipartition", charged, budget)
+        best = min(best, _split_meet(downs, top))
+    return best - 1
 
 
-def _support_meet(poset: Poset, support: int) -> int:
-    """min over A subset of the support of max(|<A>|, |<support minus A>|)."""
+def _supports(code: Code) -> Iterator[int]:
+    """Coordinate masks of the supports of the nonzero codewords whose
+    first nonzero coefficient is 1, one word per scalar class.
+
+    Behind leading row j, the combinations of the later rows follow the
+    modular q-ary Gray order: step t adds the row at the lowest nonzero
+    base-q digit of t, so each word costs one packed row addition.
+    """
+    q = code.q
+    kernel = row_kernel(q, code.n)
+    add, support = kernel.add, kernel.support
+    rows = [kernel.pack(r) for r in code.gen.rows]
+    for j, word in enumerate(rows):
+        tail = rows[j + 1 :]
+        yield support(word)
+        for t in range(1, q ** len(tail)):
+            digit = 0
+            while t % q ** (digit + 1) == 0:
+                digit += 1
+            word = add(word, tail[digit])
+            yield support(word)
+
+
+def _lower_bound(downs: list[int], top: int) -> int:
+    """max(ceil(|<top>| / 2), largest |<m>| for m in top)."""
+    whole = largest = 0
+    for i in _bits(top):
+        whole |= downs[i]
+        largest = max(largest, downs[i].bit_count())
+    return max((whole.bit_count() + 1) // 2, largest)
+
+
+def _split_meet(downs: list[int], top: int) -> int:
+    """min over B subset of top, holding its lowest element, of
+    max(|<B>|, |<top minus B>|)."""
+    low = top & -top
+    first = downs[low.bit_length() - 1]
     ideals = [0]
-    for i in _bits(support):
-        down = poset.ideal_mask(1 << i)
+    for i in _bits(top ^ low):
+        down = downs[i]
         ideals += [ideal | down for ideal in ideals]
+    with_first = [(ideal | first).bit_count() for ideal in ideals]
     sizes = [ideal.bit_count() for ideal in ideals]
-    # Index t lists a subset A by its bits; the last index minus t lists
-    # the rest of the support, so the reversed list pairs each A with it.
-    return min(map(max, sizes, reversed(sizes)))
+    # Index t lists the rest of B by its bits; the last index minus t
+    # lists the rest of top, so the reversed list pairs each B with it.
+    return min(map(max, with_first, reversed(sizes)))
 
 
 def packing_radius_bounds(

@@ -83,6 +83,30 @@ def brute_packing_radius(code: Code, poset: Poset) -> int:
             return code.n
 
 
+def reference_packing_radius(code: Code, poset: Poset) -> int:
+    """Exact packing radius by the whole-support scan: one less than the
+    smallest, over the inclusion-minimal nonzero codeword supports S, of
+    min over all 2^|S| subsets A of S of max(|<A>|, |<S minus A>|)."""
+    supports = {c.support_mask() for c in code.codewords()}
+    supports.discard(0)
+    minimal: list[int] = []
+    for s in sorted(supports, key=int.bit_count):
+        if not any(m & s == m for m in minimal):
+            minimal.append(s)
+    best = None
+    for s in minimal:
+        coords = [i for i in range(code.n) if s >> i & 1]
+        for size in range(len(coords) + 1):
+            for part in itertools.combinations(coords, size):
+                a = sum(1 << i for i in part)
+                value = max(
+                    poset.ideal_mask(a).bit_count(), poset.ideal_mask(s & ~a).bit_count()
+                )
+                if best is None or value < best:
+                    best = value
+    return best - 1
+
+
 def brute_nearest_distance(words, y: Vector, poset: Poset) -> int:
     return min(p_distance(y, c, poset) for c in words)
 

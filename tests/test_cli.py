@@ -232,9 +232,11 @@ class TestCommands:
         assert main(["validate", "--poset", str(bad)]) == 1
         capsys.readouterr()
         big = tmp_path / "big.code"
-        big.write_text("code q=2 k=1 n=21\n" + " ".join(["1"] * 21) + "\n")
+        # an all-ones support of 22 coordinates on an antichain is charged
+        # 2^21 bipartitions, over the default budget of 2^20
+        big.write_text("code q=2 k=1 n=22\n" + " ".join(["1"] * 22) + "\n")
         bigp = tmp_path / "big.poset"
-        bigp.write_text("poset n=21\n")
+        bigp.write_text("poset n=22\n")
         assert main(["radius", "--poset", str(bigp), "--code", str(big), "--exact"]) == 2
         capsys.readouterr()
         assert main(["weight", "--poset", str(bad)]) == 1  # usage + parse errors

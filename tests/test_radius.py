@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import brute_packing_radius
+from conftest import brute_packing_radius, reference_packing_radius
 from posetcode.budget import BudgetExceededError
 from posetcode.field import PrimeField
 from posetcode.linear import Code, min_distance
-from posetcode.poset import Poset, leq_poset
+from posetcode.poset import Poset, leq_poset, lower_neighbor, upper_neighbor
 from posetcode.radius import RadiusBounds, packing_radius_bounds, packing_radius_exact
 from posetcode.randgen import random_code, random_hierarchical_poset, random_poset
 from posetcode.decomp import maximal_p_decomposition
@@ -50,6 +50,41 @@ def test_exact_matches_ball_definition_on_randoms():
             code = random_code(rng, field, n, k)
             p = random_poset(rng, n)
             assert packing_radius_exact(code, p) == brute_packing_radius(code, p)
+
+
+@pytest.mark.parametrize("field, max_n, max_k", [(F2, 12, 6), (F3, 8, 4), (F5, 6, 3)])
+def test_exact_matches_whole_support_scan(field, max_n, max_k):
+    # large enough for the scan to stop on its lower bound before the
+    # last maxima set, on every kind of order and both its neighbors
+    rng = random.Random(f"whole-support/{field.p}")
+    for trial in range(24):
+        n = rng.randint(max_n // 2, max_n)
+        k = rng.randint(1, min(max_k, n))
+        kind = trial % 4
+        if kind == 0:
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            p = Poset.chain(n, order=order)
+        elif kind == 1:
+            p = Poset.antichain(n)
+        elif kind == 2:
+            p = random_hierarchical_poset(rng, n)
+        else:
+            p = random_poset(rng, n, density=rng.uniform(0.0, 0.7))
+        code = random_code(rng, field, n, k)
+        for order in (p, lower_neighbor(p), upper_neighbor(p)):
+            assert packing_radius_exact(code, order) == reference_packing_radius(code, order)
+
+
+@pytest.mark.parametrize("density, radii", [(0.1, (2, 2, 2)), (0.2, (3, 2, 2)), (0.5, (10, 11, 8))])
+def test_gf2_n24_k12_within_default_budget(density, radii):
+    # Values from the whole-support scan given a budget of 2^24; that
+    # scan is charged 4.6-4.9M bipartitions here, over the default 2^20.
+    for seed, expected in enumerate(radii):
+        rng = random.Random(seed)
+        poset = random_poset(rng, 24, density)
+        code = random_code(rng, F2, 24, 12)
+        assert packing_radius_exact(code, poset) == expected
 
 
 def test_hamming_closed_form():
@@ -139,15 +174,21 @@ def test_budget_exceeded_carries_requirement():
     code = Code.from_rows(F2, [[1] * 12])
     with pytest.raises(BudgetExceededError) as err:
         packing_radius_exact(code, Poset.antichain(12), budget=1000)
-    assert err.value.required == 2**12
+    # one maxima set of 12 elements: 2^11 bipartitions with the first fixed
+    assert err.value.required == 2**11
 
 
 def test_budget_charges_minimal_supports_not_ambient_space():
-    # 3^14 ambient vectors exceed the default budget; the two minimal
-    # supports of size 7 cost 2 * 2^7.
+    # 3^14 ambient vectors exceed the default budget.  The charge is the
+    # 3^2 codewords plus the 2^6 bipartitions of one 7-element support:
+    # that gives 4, and the lower bound of each other support is 4 too.
     code = Code.from_rows(F3, [[1] * 14, [0] * 7 + [1] * 7])
     anti = Poset.antichain(14)
     assert packing_radius_exact(code, anti) == (min_distance(code, anti) - 1) // 2 == 3
+    assert packing_radius_exact(code, anti, budget=64) == 3
+    with pytest.raises(BudgetExceededError) as err:
+        packing_radius_exact(code, anti, budget=63)
+    assert err.value.required == 64
 
 
 def test_ground_set_mismatch():
