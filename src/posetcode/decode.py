@@ -36,7 +36,7 @@ from .linear import (
     invert_matrix,
     row_kernel,
 )
-from .poset import Poset, cut_levels
+from .poset import Poset, _elements_mask, cut_levels
 
 
 def parity_check(code: Code) -> Matrix:
@@ -212,16 +212,9 @@ def independent_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...],
     """Partition of component indices into groups whose generated ideals
     are pairwise disjoint; decoding separates exactly across groups."""
     ideals = [
-        poset.ideal_mask(_support_mask(comp.support())) for comp in d.components
+        poset.ideal_mask(_elements_mask(comp.support())) for comp in d.components
     ]
     return tuple(tuple(group) for group in _row_graph_groups(ideals))
-
-
-def _support_mask(supp: frozenset[int]) -> int:
-    mask = 0
-    for i in supp:
-        mask |= 1 << (i - 1)
-    return mask
 
 
 def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...], ...]:
@@ -242,7 +235,7 @@ def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...]
     under = [reduce(and_, _coordinate_ideals(poset, s), full) for s in supports]
     up = [
         1 << i | sum(1 << j for j, ideal in enumerate(under) if not mask & ~ideal)
-        for i, mask in enumerate(map(_support_mask, supports))
+        for i, mask in enumerate(map(_elements_mask, supports))
     ]
     quotient = Poset(len(supports), up)
     return tuple(tuple(i - 1 for i in level) for level in cut_levels(quotient))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .linear import Basis, Code, Matrix, RowKernel, is_generalized_rref, p_weight, row_kernel
-from .poset import Poset
+from .poset import Poset, _mask_to_set, _nonzero_mask
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,6 @@ class PDecomposition:
     witness: Matrix
 
 
-def _row_support_masks(rows: Sequence[Sequence[int]]) -> list[int]:
-    masks = []
-    for row in rows:
-        mask = 0
-        for i, c in enumerate(row):
-            if c:
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
-
-
 def _row_graph_groups(masks: Sequence[int]) -> list[list[int]]:
     """Connected components of the graph joining indices whose masks
     intersect, in order of their smallest index, each sorted.
@@ -178,15 +167,12 @@ def components_from_matrix(g: Matrix) -> Decomposition:
     """
     if g.rank() != g.k:
         raise ValueError(f"rank deficiency: generator has rank {g.rank()} < {g.k} rows")
-    masks = _row_support_masks(g.rows)
-    groups = _row_graph_groups(masks)
+    groups = _row_graph_groups([_nonzero_mask(row) for row in g.rows])
     components = tuple(
         Code(Matrix(g.field, [g.rows[r] for r in group], n=g.n)) for group in groups
     )
-    covered = 0
-    for m in masks:
-        covered |= m
-    pointer = frozenset(i + 1 for i in range(g.n) if not covered >> i & 1)
+    covered = _nonzero_mask(map(any, zip(*g.rows)))  # the OR of the row supports
+    pointer = _mask_to_set(((1 << g.n) - 1) & ~covered)
     return Decomposition(Code(g), components, pointer)
 
 

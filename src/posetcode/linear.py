@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .field import PrimeField
-from .poset import Poset
+from .poset import Poset, _mask_to_set, _nonzero_mask
 
 
 class Vector:
@@ -84,16 +84,12 @@ class Vector:
         return not any(self.coords)
 
     def support_mask(self) -> int:
-        mask = 0
-        for i, c in enumerate(self.coords):
-            if c:
-                mask |= 1 << i
-        return mask
+        return _nonzero_mask(self.coords)
 
 
 def support(v: Vector) -> frozenset[int]:
     """1-indexed positions of the nonzero coordinates."""
-    return frozenset(i + 1 for i, c in enumerate(v.coords) if c)
+    return _mask_to_set(v.support_mask())
 
 
 def p_weight(v: Vector, p: Poset) -> int:
@@ -428,10 +424,7 @@ class Code:
 
     def support(self) -> frozenset[int]:
         """1-indexed coordinates where some codeword is nonzero."""
-        out = set()
-        for row in self.gen.rows:
-            out.update(i + 1 for i, c in enumerate(row) if c)
-        return frozenset(out)
+        return _mask_to_set(functools.reduce(operator.or_, map(_nonzero_mask, self.gen.rows)))
 
     def codewords(self, budget: int = DEFAULT_BUDGET) -> Iterator[Vector]:
         """All q**k codewords, enumerated deterministically."""
@@ -458,11 +451,7 @@ class Code:
 
 def apply_map(m: Matrix, v: Vector) -> Vector:
     """Image of v under the map whose basis images are the columns of m."""
-    p = m.field.p
-    return Vector(
-        m.field,
-        (sum(row[j] * c for j, c in enumerate(v.coords) if c) % p for row in m.rows),
-    )
+    return m.apply_to_rows(Matrix(m.field, [v.coords])).row_vectors()[0]
 
 
 def min_distance(code: Code, p: Poset, budget: int = DEFAULT_BUDGET) -> int:

@@ -143,11 +143,10 @@ class Poset:
             raise ValueError(f"element {a} is outside the ground set [1, {self._n}]")
 
     def _check_subset(self, elements: Iterable[int]) -> int:
-        mask = 0
+        elements = tuple(elements)
         for a in elements:
             self._check_element(a)
-            mask |= 1 << (a - 1)
-        return mask
+        return _elements_mask(elements)
 
     # -- ideals ------------------------------------------------------
 
@@ -258,11 +257,29 @@ def _level_up_masks(blocks: Sequence[Iterable[int]], n: int) -> list[int]:
     for block in reversed(blocks):
         for x in block:
             up[x - 1] = above | 1 << (x - 1)
-        above |= sum(1 << (x - 1) for x in block)
+        above |= _elements_mask(block)
     return up
 
 
+def _nonzero_mask(coords: Iterable[int]) -> int:
+    """Bit i set when slot i of a residue sequence is nonzero."""
+    mask = 0
+    for i, c in enumerate(coords):
+        if c:
+            mask |= 1 << i
+    return mask
+
+
+def _elements_mask(elements: Iterable[int]) -> int:
+    """Bit a - 1 set for each 1-indexed element a."""
+    mask = 0
+    for a in elements:
+        mask |= 1 << (a - 1)
+    return mask
+
+
 def _mask_to_set(mask: int) -> frozenset[int]:
+    """The 1-indexed elements of a 0-indexed bitmask."""
     return frozenset(i + 1 for i in _bits(mask))
 
 

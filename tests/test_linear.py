@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_vectors, brute_weight, reference_echelon
 from posetcode.budget import BudgetExceededError
+from posetcode.decomp import components_from_matrix
 from posetcode.field import PrimeField
 from posetcode.linear import (
     Code,
@@ -36,6 +37,22 @@ def test_support_examples():
     assert support(Vector(F2, [0, 0, 0, 0])) == frozenset()
     assert support(Vector(F2, [1, 0, 0, 1])) == frozenset({1, 4})
     assert support(Vector(F2, [0, 1, 1, 1])) == frozenset({2, 3, 4})
+    # residues other than 1 count as nonzero over odd p
+    for field, coords, expected in (
+        (PrimeField(3), [2, 0, 1, 0, 2], {1, 3, 5}),
+        (PrimeField(5), [0, 4, 0, 2, 0], {2, 4}),
+        (PrimeField(5), [4, 4, 0, 0, 3], {1, 2, 5}),
+    ):
+        v = Vector(field, coords)
+        assert support(v) == frozenset(expected)
+        assert v.support_mask() == sum(1 << (i - 1) for i in expected)
+        assert Code.from_rows(field, [coords]).support() == frozenset(expected)
+    f5_code = Code.from_rows(PrimeField(5), [[4, 0, 0, 0], [0, 0, 2, 0]])
+    assert f5_code.support() == frozenset({1, 3})
+    # the pointer is the null columns of the generator
+    d = components_from_matrix(Matrix(PrimeField(3), [[2, 0, 0, 1, 0], [0, 2, 0, 0, 2]]))
+    assert d.pointer_support == frozenset({3})
+    assert [c.support() for c in d.components] == [frozenset({1, 4}), frozenset({2, 5})]
 
 
 def test_weight_on_antichain_is_hamming_exhaustive():

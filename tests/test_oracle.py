@@ -6,11 +6,12 @@ import pytest
 from posetcode import oracle
 from posetcode.budget import BudgetExceededError
 from posetcode.field import PrimeField
-from posetcode.linear import Code, Matrix, invert_matrix
+from posetcode.linear import Code, Matrix, Vector, invert_matrix
 from posetcode.poset import Poset
 from posetcode.randgen import random_poset
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 STAR = Poset.from_relations(4, [(1, 4), (2, 4), (3, 4)])
 
 
@@ -41,12 +42,23 @@ class TestReducingIsometries:
         assert {v.coords for v in image} == {(0, 0, 0, 0), (0, 1, 1, 1)}
 
     def test_every_member_preserves_weights(self):
-        rng = random.Random(17)
-        for _ in range(4):
-            n = rng.randint(1, 4)
-            p = random_poset(rng, n)
-            for iso in oracle.enum_g_p(p, 2):
-                assert oracle.is_isometry(iso.matrix, p)
+        for q, max_n in ((2, 4), (3, 3)):
+            rng = random.Random(17)
+            for _ in range(4):
+                n = rng.randint(1, max_n)
+                p = random_poset(rng, n)
+                for iso in oracle.enum_g_p(p, q):
+                    assert oracle.is_isometry(iso.matrix, p)
+
+    def test_apply_map_sums_scaled_columns_over_gf3(self):
+        # not symmetric, so a transposed product gives other images
+        m = Matrix(F3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+        assert m != m.transpose()
+        for coords in itertools.product(range(3), repeat=3):
+            expected = [
+                sum(c * m.rows[i][j] for j, c in enumerate(coords)) % 3 for i in range(3)
+            ]
+            assert oracle.apply_map(m, Vector(F3, coords)).coords == tuple(expected)
 
 
 class TestAutomorphisms:

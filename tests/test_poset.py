@@ -277,3 +277,16 @@ def test_element_range_checked():
         p.ideal([4])
     with pytest.raises(ValueError):
         p.height(7)
+    for query in (p.ideal, p.is_ideal, p.maximal_elements):
+        for bad in (0, -1, 4):
+            message = rf"^element {bad} is outside the ground set \[1, 3\]$"
+            with pytest.raises(ValueError, match=message):
+                query([1, bad])
+
+
+def test_subset_queries_accept_one_shot_iterators():
+    p = Poset.chain(3)
+    assert p.ideal(iter([1, 2])) == frozenset({1, 2})
+    assert p.is_ideal(iter([1, 2]))
+    assert not p.is_ideal(x for x in [2])
+    assert p.maximal_elements(x for x in [1, 3]) == frozenset({3})
