@@ -20,6 +20,7 @@ per group that fires, one packed subtraction and one output `Vector`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
 from operator import and_, sub
@@ -420,19 +421,11 @@ def table_sizes(plan: DecodePlan) -> dict[str, int]:
     code = plan.decomposition.code
     q = code.q
     full = q ** (code.n - code.k)
-    reduced = 1
-    for comp in plan.decomposition.components:
-        reduced *= q ** (len(comp.support()) - comp.k)
-    group_sizes = []
-    for group in plan.groups:
-        size = 1
-        for i in group.indices:
-            comp = plan.decomposition.components[i]
-            size *= q ** (len(comp.support()) - comp.k)
-        group_sizes.append(size)
+    sizes = [q ** (len(comp.support()) - comp.k) for comp in plan.decomposition.components]
+    group_sizes = [math.prod(sizes[i] for i in group.indices) for group in plan.groups]
     return {
         "full": full,
-        "reduced": reduced,
+        "reduced": math.prod(sizes),
         "leveled_total": sum(group_sizes),
         "worst_single_lookup": max(group_sizes),
     }

@@ -20,6 +20,8 @@ as the keys of the states it has visited.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -82,14 +84,7 @@ class Decomposition:
     pointer_support: frozenset[int]
 
     def __post_init__(self):
-        seen: set[int] = set(self.pointer_support)
-        for comp in self.components:
-            supp = comp.support()
-            if supp & seen:
-                raise ValueError("component supports must be pairwise disjoint")
-            seen |= supp
-        if seen != set(range(1, self.code.n + 1)):
-            raise ValueError("supports and pointer must partition the coordinate set")
+        self.partition()  # raises unless pointer and supports partition [1, n]
 
     def partition(self) -> PointedPartition:
         return PointedPartition(
@@ -165,15 +160,14 @@ def components_from_matrix(g: Matrix) -> Decomposition:
     with intersecting supports; each group spans one component, and null
     columns form the pointer support.
     """
-    if g.rank() != g.k:
-        raise ValueError(f"rank deficiency: generator has rank {g.rank()} < {g.k} rows")
-    groups = _row_graph_groups([_nonzero_mask(row) for row in g.rows])
+    code = Code(g)  # checks the rank before any component does
+    masks = [_nonzero_mask(row) for row in g.rows]
     components = tuple(
-        Code(Matrix(g.field, [g.rows[r] for r in group], n=g.n)) for group in groups
+        Code(Matrix(g.field, [g.rows[r] for r in group], n=g.n))
+        for group in _row_graph_groups(masks)
     )
-    covered = _nonzero_mask(map(any, zip(*g.rows)))  # the OR of the row supports
-    pointer = _mask_to_set(((1 << g.n) - 1) & ~covered)
-    return Decomposition(Code(g), components, pointer)
+    pointer = _mask_to_set(((1 << g.n) - 1) & ~functools.reduce(operator.or_, masks))
+    return Decomposition(code, components, pointer)
 
 
 def _strict_ups(poset: Poset) -> list[list[int]]:

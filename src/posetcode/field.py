@@ -49,8 +49,8 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
-    # Raw residue arithmetic.  The matrix code works on plain ints for
-    # speed; FieldElement wraps these for the scalar-level API.
+    # Raw residue arithmetic behind FieldElement, the scalar-level API.
+    # Vectors, matrices and the packed row kernel reduce their own ints.
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p

@@ -454,17 +454,37 @@ def apply_map(m: Matrix, v: Vector) -> Vector:
     return m.apply_to_rows(Matrix(m.field, [v.coords])).row_vectors()[0]
 
 
+def _word_supports(code: Code) -> Iterator[int]:
+    """Coordinate masks of the supports of the nonzero codewords whose
+    first nonzero coefficient is 1, one word per scalar class.
+
+    Behind leading row j, the combinations of the later rows follow the
+    modular q-ary Gray order: step t adds the row at the lowest nonzero
+    base-q digit of t, so each word costs one packed row addition.
+    """
+    q = code.q
+    kernel = row_kernel(q, code.n)
+    add, support = kernel.add, kernel.support
+    rows = [kernel.pack(r) for r in code.gen.rows]
+    for j, word in enumerate(rows):
+        tail = rows[j + 1 :]
+        yield support(word)
+        for t in range(1, q ** len(tail)):
+            digit = 0
+            while t % q ** (digit + 1) == 0:
+                digit += 1
+            word = add(word, tail[digit])
+            yield support(word)
+
+
 def min_distance(code: Code, p: Poset, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum weight of a nonzero codeword, by exhaustive enumeration."""
+    """Minimum weight of a nonzero codeword, by exhaustive enumeration.
+
+    A weight depends only on the support, and scalar multiples share
+    it, so one word per scalar class suffices.  The budget is charged
+    all q^k codewords.
+    """
     if p.n != code.n:
         raise ValueError(f"poset ground set {p.n} does not match code length {code.n}")
-    best: int | None = None
-    for c in code.codewords(budget):
-        if c.is_zero():
-            continue
-        w = p_weight(c, p)
-        if best is None or w < best:
-            best = w
-    if best is None:
-        raise ValueError("zero-dimensional code has no minimum distance")
-    return best
+    check_budget("codeword enumeration", code.q**code.k, budget)
+    return min(p.ideal_mask(s).bit_count() for s in _word_supports(code))

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import components_from_matrix, degree, PDecomposition
 from .field import PrimeField
-from .linear import Code, Matrix, Vector, apply_map, p_weight, row_reduce_inverse
+from .linear import Code, Matrix, p_weight, row_reduce_inverse
 from .poset import Poset
 
 
@@ -113,16 +113,24 @@ def enum_gl_p(poset: Poset, q: int, budget: int = DEFAULT_BUDGET) -> Iterator[Is
 
 
 def is_isometry(m: Matrix, poset: Poset, budget: int = DEFAULT_BUDGET) -> bool:
-    """Exhaustive check that the map preserves the order weight."""
+    """Exhaustive check that the map preserves the order weight.
+
+    The vectors are mapped in blocks of at most 2^10, one matrix product
+    per block: each block fixes the leading coordinates and runs the
+    trailing ones through every value.
+    """
     if m.k != m.n or m.n != poset.n:
         return False
     q, n = m.field.p, m.n
     check_budget("isometry verification", q**n, budget)
     if m.rank() != n:
         return False
-    for coords in itertools.product(range(q), repeat=n):
-        v = Vector(m.field, coords)
-        if p_weight(v, poset) != p_weight(apply_map(m, v), poset):
+    free = next(t for t in range(n, -1, -1) if q**t <= 1 << 10)
+    tails = list(itertools.product(range(q), repeat=free))
+    for head in itertools.product(range(q), repeat=n - free):
+        block = Matrix(m.field, [head + tail for tail in tails], n=n)
+        pairs = zip(block.row_vectors(), m.apply_to_rows(block).row_vectors())
+        if any(p_weight(v, poset) != p_weight(w, poset) for v, w in pairs):
             return False
     return True
 

@@ -12,11 +12,10 @@ up front, then 2^(|M| - 1) for each maxima set M actually scanned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import maximal_p_decomposition
-from .linear import Code, row_kernel
+from .linear import Code, _word_supports
 from .poset import Poset, _bits, lower_neighbor, upper_neighbor
 
 
@@ -64,7 +63,7 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
     downs = [poset.ideal_mask(1 << i) for i in range(code.n)]
     queue = sorted(
         (_lower_bound(downs, top), top.bit_count(), top)
-        for top in {poset.maximal_mask(s) for s in set(_supports(code))}
+        for top in {poset.maximal_mask(s) for s in set(_word_supports(code))}
     )
     best = code.n + 1  # above every value
     charged = 0
@@ -75,29 +74,6 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
         check_budget("packing radius support bipartition", charged, budget)
         best = min(best, _split_meet(downs, top))
     return best - 1
-
-
-def _supports(code: Code) -> Iterator[int]:
-    """Coordinate masks of the supports of the nonzero codewords whose
-    first nonzero coefficient is 1, one word per scalar class.
-
-    Behind leading row j, the combinations of the later rows follow the
-    modular q-ary Gray order: step t adds the row at the lowest nonzero
-    base-q digit of t, so each word costs one packed row addition.
-    """
-    q = code.q
-    kernel = row_kernel(q, code.n)
-    add, support = kernel.add, kernel.support
-    rows = [kernel.pack(r) for r in code.gen.rows]
-    for j, word in enumerate(rows):
-        tail = rows[j + 1 :]
-        yield support(word)
-        for t in range(1, q ** len(tail)):
-            digit = 0
-            while t % q ** (digit + 1) == 0:
-                digit += 1
-            word = add(word, tail[digit])
-            yield support(word)
 
 
 def _lower_bound(downs: list[int], top: int) -> int:

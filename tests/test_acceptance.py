@@ -32,6 +32,7 @@ from posetcode.field import PrimeField
 from posetcode.linear import (
     Code,
     Matrix,
+    apply_map,
     invert_matrix,
     is_generalized_rref,
     min_distance,
@@ -112,7 +113,7 @@ def test_criterion_04_isometry_fixture():
     t = Matrix(F2, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
     ok = oracle.is_isometry(t, star)
     code = Code.from_rows(F2, [[1, 0, 0, 1]])
-    image = {oracle.apply_map(t, v).coords for v in code.codewords()}
+    image = {apply_map(t, v).coords for v in code.codewords()}
     ok = ok and image == {(0, 0, 0, 0), (0, 1, 1, 1)}
     other = Code.from_rows(F2, [[0, 1, 1, 1]])
     p1 = profile(maximal_p_decomposition(code, star).decomposition)
@@ -373,12 +374,13 @@ def test_criterion_12_isometry_group_enumeration():
             if Matrix.identity(f2, n) not in unique:
                 failures += 1
                 continue
+            # every vector's weight against its image's, one product per member
             vectors = all_vectors(f2, n)
+            block = Matrix(f2, [v.coords for v in vectors])
+            weights = [p_weight(v, poset) for v in vectors]
             for m in unique:
-                if any(
-                    p_weight(v, poset) != p_weight(oracle.apply_map(m, v), poset)
-                    for v in vectors
-                ):
+                images = m.apply_to_rows(block).row_vectors()
+                if [p_weight(w, poset) for w in images] != weights:
                     failures += 1
                     break
             if id(poset) in closure_ids:

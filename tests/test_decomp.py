@@ -11,6 +11,7 @@ from posetcode import decomp, oracle
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, is_generalized_rref, row_reduce_inverse
 from posetcode.decomp import (
+    Decomposition,
     PointedPartition,
     canonical_form,
     components_from_matrix,
@@ -163,6 +164,24 @@ class TestComponents:
     def test_rank_deficiency_rejected(self):
         with pytest.raises(ValueError, match="rank"):
             components_from_matrix(Matrix(F2, [[1, 0], [1, 0]]))
+
+    def test_zero_row_reports_the_rank_of_the_whole_generator(self):
+        message = "rank deficiency: generator has rank 1 < 2 rows"
+        with pytest.raises(ValueError) as err:
+            components_from_matrix(Matrix(F2, [[1, 0], [0, 0]]))
+        assert str(err.value) == message
+
+    def test_hand_built_decomposition_must_partition_the_coordinates(self):
+        code = Code.from_rows(F2, [[1, 1, 0, 0], [0, 0, 1, 0]])
+        first = Code.from_rows(F2, [[1, 1, 0, 0]])
+        Decomposition(code, (first, Code.from_rows(F2, [[0, 0, 1, 0]])), frozenset({4}))
+        shared = Code.from_rows(F2, [[0, 1, 1, 0]])
+        with pytest.raises(ValueError, match="disjoint"):
+            Decomposition(code, (first, shared), frozenset({4}))
+        with pytest.raises(ValueError, match="disjoint"):
+            Decomposition(code, (first,), frozenset({2, 3, 4}))
+        with pytest.raises(ValueError, match="partition"):
+            Decomposition(code, (first,), frozenset({4}))
 
     def test_null_columns_become_pointer(self):
         g = Matrix(F2, [[1, 0, 0, 1]])

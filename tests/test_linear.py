@@ -209,6 +209,23 @@ def test_min_distance_examples():
     assert min_distance(Code.from_rows(F2, [[0, 0, 1]]), chain) == 3
 
 
+def test_min_distance_matches_codeword_scan_over_odd_q():
+    # one word per scalar class stands for the class; a walk that missed
+    # a class, or weighed a union of supports, gives another minimum
+    rng = random.Random(23)
+    for q, max_n in ((2, 8), (3, 6), (5, 4)):
+        field = PrimeField(q)
+        for _ in range(12):
+            n = rng.randint(1, max_n)
+            code = random_code(rng, field, n, rng.randint(1, n))
+            orders = (Poset.chain(n), Poset.antichain(n), random_poset(rng, n))
+            for poset in orders:
+                expected = min(
+                    p_weight(c, poset) for c in code.codewords() if not c.is_zero()
+                )
+                assert min_distance(code, poset) == expected
+
+
 def test_min_distance_budget():
     code = random_code(random.Random(0), F2, 8, 6)
     with pytest.raises(BudgetExceededError) as err:

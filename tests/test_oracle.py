@@ -6,7 +6,7 @@ import pytest
 from posetcode import oracle
 from posetcode.budget import BudgetExceededError
 from posetcode.field import PrimeField
-from posetcode.linear import Code, Matrix, Vector, invert_matrix
+from posetcode.linear import Code, Matrix, Vector, apply_map, invert_matrix
 from posetcode.poset import Poset
 from posetcode.randgen import random_poset
 
@@ -38,7 +38,7 @@ class TestReducingIsometries:
         assert t in members
         assert oracle.is_isometry(t, STAR)
         code = Code.from_rows(F2, [[1, 0, 0, 1]])
-        image = {oracle.apply_map(t, v) for v in code.codewords()}
+        image = {apply_map(t, v) for v in code.codewords()}
         assert {v.coords for v in image} == {(0, 0, 0, 0), (0, 1, 1, 1)}
 
     def test_every_member_preserves_weights(self):
@@ -50,6 +50,16 @@ class TestReducingIsometries:
                 for iso in oracle.enum_g_p(p, q):
                     assert oracle.is_isometry(iso.matrix, p)
 
+    def test_blocked_check_reaches_every_block(self):
+        # 3^7 vectors run in three blocks of 3^6, one per leading digit;
+        # the shear moves only the vectors whose leading digit is nonzero
+        shear = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
+        shear[1][0] = 1
+        assert not oracle.is_isometry(Matrix(F3, shear), Poset.antichain(7))
+        rng = random.Random(31)
+        p = random_poset(rng, 7)
+        assert oracle.is_isometry(oracle.random_reducing_isometry(p, 3, rng), p)
+
     def test_apply_map_sums_scaled_columns_over_gf3(self):
         # not symmetric, so a transposed product gives other images
         m = Matrix(F3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
@@ -58,7 +68,7 @@ class TestReducingIsometries:
             expected = [
                 sum(c * m.rows[i][j] for j, c in enumerate(coords)) % 3 for i in range(3)
             ]
-            assert oracle.apply_map(m, Vector(F3, coords)).coords == tuple(expected)
+            assert apply_map(m, Vector(F3, coords)).coords == tuple(expected)
 
 
 class TestAutomorphisms:
