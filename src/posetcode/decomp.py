@@ -290,20 +290,22 @@ class _Canonicalizer:
         # columns join when their nonzero slots share a row; a null column stands alone
         return len(_row_graph_groups([self.kernel.nonzero(c) for c in self.cols]))
 
-    def coset_passes(self) -> None:
+    def coset_passes(self) -> bool:
         """Right-to-left column reduction, re-reducing rows between
-        passes, until a pass changes nothing or a matrix repeats.
+        passes; True once a pass changes nothing, False on a repeat.
 
-        The representative rule and the row reduction can chase each
-        other in a cycle; a repeated matrix presents the same code, and
-        the accumulated witness remains valid for it, so the first
-        repeat is a sound deterministic stopping point.
+        Each pass starts on a reduced matrix, which re-reduction would
+        leave as it is, so a pass that changed nothing skips it.  The
+        representative rule and the row reduction can chase each other
+        in a cycle; a repeated matrix presents the same code, and the
+        accumulated witness remains valid for it, so the first repeat is
+        a sound deterministic stopping point.
         """
         seen: set[tuple[int, ...]] = set()
         while True:
             key = tuple(c & self.kernel.coords for c in self.cols)
             if key in seen:
-                return
+                return False
             seen.add(key)
             changed = False
             cols = self.cols
@@ -312,9 +314,9 @@ class _Canonicalizer:
                     rep = _coset_representative(self.kernel, cols, r, self.ups[r])
                     if rep != cols[r]:
                         cols[r], changed = rep, True
-            self.rereduce()
             if not changed:
-                return
+                return True
+            self.rereduce()
 
     def apply_split(self, columns: dict[int, int]) -> None:
         """Replace the chosen columns, each by a whole packed column
@@ -331,16 +333,9 @@ class _Canonicalizer:
         component's support); a split is a side assignment whose two
         span sets stay independent.  Exact but worst-case exponential in
         the component dimension; fine at the scales this library
-        targets.  Components are searched by their smallest row.
-
-        The matrix is in right-most-pivot reduced form whenever this
-        runs (after construction, coset passes and every applied split),
-        so a component whose columns cannot move is a connected matroid
-        and is skipped.  Inside a search, states in which some column
-        is left with no candidate either side could ever take are
-        dropped.  Both cuts remove only states holding no split, so the
-        split found is the one the full depth-first search finds first
-        (see `_split_component`).
+        targets.  Components are searched by their smallest row; the
+        cuts that prune it without changing the split it finds are set
+        out in `_split_component`.
         """
         masks = [self.kernel.nonzero(c) for c in self.cols]
         components = []
@@ -367,7 +362,8 @@ class _Canonicalizer:
 
         - A component in which no column has a column strictly above it
           inside the support cannot split.  The matrix is in
-          right-most-pivot reduced form here, a standard representation
+          right-most-pivot reduced form here (construction, splits and
+          coset passes all leave it so), a standard representation
           [I | A] up to column order, and its matroid is connected
           exactly when the bipartite row-column graph of A is; one
           component of `_row_graph_groups` is such a connected graph.
@@ -473,29 +469,25 @@ def canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:
 
     Column coset passes zero everything that can be zeroed; an exact
     per-component search then re-chooses representatives wherever that
-    makes a component fall apart, and the passes repeat.  The returned
-    matrix is in right-most-pivot reduced form; the second value is the
-    witness map carrying the input's row space onto the output's.
+    makes a component fall apart, and the passes repeat.  Passes keep
+    each column in its component, so they never lower `score()`; a split
+    must raise it, and it is at most n, so at most n splits run.  If the
+    first passes stop on a repeat they run once more: walking the cycle
+    again moves only the witness, and the witnesses the tests pin rely on it.
+    The returned matrix is right-most-pivot reduced; the second value is
+    the witness map carrying the input's row space onto the output's.
     """
     if poset.n != g.n:
         raise ValueError(f"poset ground set {poset.n} does not match matrix width {g.n}")
     state = _Canonicalizer(g, poset)
-    state.coset_passes()
-    for _ in range(state.n + 2):
-        before = state.score()
-        snap = tuple(state.cols)
+    if not state.coset_passes():
         state.coset_passes()
-        if state.score() < before:
-            state.cols = list(snap)
-        split = state.find_split()
-        if split is None:
-            break
+    while (split := state.find_split()) is not None:
         before = state.score()
         state.apply_split(split)
         if state.score() <= before:
             raise RuntimeError("split application did not refine the decomposition")
-    else:
-        raise RuntimeError("decomposition refinement did not settle")
+        state.coset_passes()
     kernel, k, n = state.kernel, state.k, state.n
     return (
         Matrix(state.field, zip(*(kernel.unpack(c) for c in state.cols)), n=n),

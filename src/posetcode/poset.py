@@ -28,6 +28,9 @@ class Poset:
         up = tuple(up_masks)
         if len(up) != n:
             raise ValueError("need one relation mask per element")
+        for i, mask in enumerate(up):
+            if not 0 <= mask < 1 << n:
+                raise ValueError(f"relation mask of element {i + 1} has bits outside [1, {n}]")
         self._n = n
         self._up = up  # bit j of _up[i] set  <=>  (i+1) <= (j+1)
         # down[j] = elements below-or-equal j; the ideal machinery runs on these.

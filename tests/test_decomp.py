@@ -25,7 +25,12 @@ from posetcode.decomp import (
     witness_in_reducing_group,
 )
 from posetcode.poset import Poset, leq_poset, lower_neighbor, upper_neighbor
-from posetcode.randgen import random_code, random_invertible, random_poset
+from posetcode.randgen import (
+    random_code,
+    random_hierarchical_poset,
+    random_invertible,
+    random_poset,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -338,8 +343,45 @@ class TestCanonicalForm:
         assert fired["skipped"] > 0
         assert fired["pruned"] > 0
 
+    def test_coset_passes_never_lower_the_score_and_settle_for_good(self):
+        # canonical_form keeps no snapshot to restore and runs the passes a
+        # second time only after a repeat; both rest on what this checks,
+        # on a fresh state and after every applied split
+        repeats = 0
+
+        def passes(state):
+            nonlocal repeats
+            before = state.score()
+            settled = state.coset_passes()
+            assert state.score() >= before
+            if settled:
+                cols = list(state.cols)
+                assert state.coset_passes()
+                assert state.cols == cols  # coordinates and witness tags alike
+            else:
+                repeats += 1
+
+        # q with the largest n at which 300 instances stay fast
+        for q, bound in ((2, 12), (3, 12), (5, 9), (7, 8)):
+            rng = random.Random(q)
+            for i in range(300):
+                n = rng.randint(1, bound)
+                if i % 7 == 6:
+                    p = random_hierarchical_poset(rng, n)
+                else:
+                    p = random_poset(rng, n, rng.choice((0, 0.1, 0.2, 0.3, 0.4, 0.5)))
+                code = random_code(rng, PrimeField(q), n, rng.randint(1, n))
+                state = decomp._Canonicalizer(code.gen, p)
+                passes(state)
+                while (split := state.find_split()) is not None:
+                    state.apply_split(split)
+                    passes(state)
+        assert repeats > 0
+
     # sha256 of [rows of the canonical matrix, rows of the witness] as JSON,
-    # recorded from the search before it was pruned
+    # recorded from the search before it was pruned, and (the two "repeat"
+    # instances) from a driver that always ran the coset passes twice
+    # before the first split search
     PINNED = {
         # GF(2), n = 24, k = 12, density 0.1: the poset drawn first, then the code
         "gf2-n24-seed0": "fee662daea21d421053c68edf2dcdf9b7e252b3cfff8f5dccf41d3dd928c3d8e",
@@ -354,6 +396,10 @@ class TestCanonicalForm:
         # unpruned search took 98 s, and a forward check testing candidate
         # by candidate would take longer still
         "gf7-n9": "94df4be6ea1c3186997946e0126c68ca11365f5dd97eb00191dc9fd099fdb0f6",
+        # n = 8, density 0.3: the first coset passes stop on a repeated
+        # matrix, and running them once more moves the witness
+        "gf2-n8-repeat": "550a6d93b396eeab3707cd10c1f98b7e2147836d44d4faee5916b85a2da5f320",
+        "gf3-n8-repeat": "0855d11f2212cc696742374b262309a5acc97d6e341de0c36ac683fb80f97884",
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -367,6 +413,11 @@ class TestCanonicalForm:
             n = rng.randint(3, 9)
             p = random_poset(rng, n, 0.3)
             code = random_code(rng, PrimeField(7), n, rng.randint(1, n))
+        elif name.endswith("-repeat"):
+            q, seed = (2, 458) if name.startswith("gf2") else (3, 370)
+            rng = random.Random(seed)
+            p = random_poset(rng, 8, 0.3)
+            code = random_code(rng, PrimeField(q), 8, rng.randint(1, 8))
         else:
             rng = random.Random(int(name.rsplit("seed", 1)[1]))
             p = random_poset(rng, 24, 0.1)

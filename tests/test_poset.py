@@ -43,6 +43,17 @@ def test_ground_set_bounds():
         Poset.from_relations(3, [(1, 4)])
 
 
+def test_relation_masks_must_stay_inside_the_ground_set():
+    # a stray bit at position n or above, or a negative mask, names its element
+    with pytest.raises(ValueError, match=r"^relation mask of element 1 has bits outside \[1, 2\]$"):
+        Poset(2, [0b101, 0b10])
+    with pytest.raises(ValueError, match=r"^relation mask of element 1 has bits outside \[1, 1\]$"):
+        Poset(1, [-1])
+    with pytest.raises(ValueError, match="element 3 has bits outside"):
+        Poset(3, [0b001, 0b010, 0b1100])
+    assert Poset(2, [0b11, 0b10]).leq(1, 2)
+
+
 def test_ideal_examples():
     assert Poset.antichain(4).ideal([]) == frozenset()
     star = Poset.from_relations(4, [(1, 4), (2, 4), (3, 4)])
