@@ -28,7 +28,6 @@ from .field import PrimeField
 from .linear import Vector, min_distance, p_distance, p_weight
 from .poset import lower_neighbor, upper_neighbor
 from .radius import packing_radius_bounds, packing_radius_exact
-from .selftest import run_selftest
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
@@ -332,6 +331,8 @@ def decode(poset, code, vec_text, vectors_path, algorithm, budget, as_json):
 @json_option
 def selftest(seed, budget, as_json):
     """Run the oracle-agreement suite; nonzero exit on any failure."""
+    from .selftest import run_selftest
+
     results = run_selftest(seed=seed, budget=budget)
     ok = all(flag for _, flag in results)
     payload = {"ok": ok, "results": [{"name": n, "ok": f} for n, f in results]}

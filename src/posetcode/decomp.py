@@ -205,27 +205,24 @@ def _dead_column(
     """Whether some column has no candidate that either side of a split
     state can take.
 
-    A column (c, u) has as candidates the nonzero vectors of the coset
-    c + span(u).  A side with basis b can take a candidate h when h lies
-    in span(b) or outside span(comb) = span(b1) + span(b2).  This is
-    decided on the subspaces, with a few reductions per column however
-    many candidates it has.
+    A column (c, u) has as candidates the vectors of the coset c + span(u).
+    A side with basis b can take a candidate h when h lies in span(b) or
+    outside span(comb) = span(b1) + span(b2); this is decided on subspaces,
+    with a few reductions per column however many candidates it has.
     """
     for c, u in cosets:
         if reduce(c, comb) or any(reduce(row, comb) for _, row in u):
             continue  # some candidate lies outside span(comb)
         rest1, rest2 = reduce(c, b1), reduce(c, b2)
         if not (rest1 and rest2):
-            continue  # c itself lies in a side (and is never zero in a component)
+            continue  # c itself lies in a side
         for b, rest in ((b1, rest1), (b2, rest2)):
-            # reducing by b is linear, so the coset meets span(b) when the
-            # rest of c lies in the span of the rests of u; the meet is {0}
-            # alone when moreover c lies in span(u) and span(u) meets span(b)
-            # in 0 alone, that is, when the rests of u are independent
+            # reducing by b is linear, so the coset meets span(b) exactly
+            # when the rest of c lies in the span of the rests of u
             rests: Basis = ()
             for _, row in u:
                 rests = extend(rests, reduce(row, b)) or rests
-            if not reduce(rest, rests) and (reduce(c, u) or len(rests) < len(u)):
+            if not reduce(rest, rests):
                 break
         else:
             return True
@@ -300,6 +297,11 @@ class _Canonicalizer:
         in a cycle; a repeated matrix presents the same code, and the
         accumulated witness remains valid for it, so the first repeat is
         a sound deterministic stopping point.
+
+        On either return each nonzero column lies outside the span of the
+        columns strictly above it: a pass keeps that span fixed (a move on
+        column j adds columns above j, so above r when j is) and reduces the
+        column modulo it, and row reduction keeps every linear relation.
         """
         seen: set[tuple[int, ...]] = set()
         while True:
@@ -376,9 +378,17 @@ class _Canonicalizer:
           spans, so h = u1 + u2 with u2 a nonzero vector of the second
           side never enters the first side's span, and likewise for the
           second.  Whether a state is dead depends only on its key.
-          A column's candidates are the nonzero vectors of a coset, so
+          A column's candidates are the vectors of a coset, so
           `_dead_column` decides this on subspaces, not candidate by
           candidate: a column with m sources has p^m candidates.
+
+        Two facts leave no other check.  Sources come first: each source s
+        of r is placed before r, as s plus columns above s (sources of r
+        too), so their span lies in span(b1 + b2) when r is placed.  No
+        candidate is zero (`coset_passes`), so the first column placed,
+        with no sources, fills side 0: a state splits if side 1 is nonempty.
+        Only equal reductions give a side one span: red and a.red, a != 1,
+        put (1 - a)c in span(b1 + b2), where no candidate extends `comb`.
         """
         support_set = set(support)
         if not any(j in support_set for r in support for j in self.ups[r]):
@@ -392,15 +402,15 @@ class _Canonicalizer:
 
         def candidates(r: int) -> list[tuple[int, int]]:
             """Every col_r + sum x_j col_j over the sources j above r in the
-            component whose coordinates are nonzero, in itertools.product
-            order of the x_j, as (coordinates, whole column with tags)."""
+            component, in itertools.product order of the x_j, as
+            (coordinates, whole column with tags)."""
             if r not in candidates_at:
                 out = [self.cols[r]]
                 for j in self.ups[r]:
                     if j in support_set:
                         mult = multiples(self.cols[j])
                         out = [add(h, m) for h in out for m in mult]
-                candidates_at[r] = [(h & coords, h) for h in out if h & coords]
+                candidates_at[r] = [(h & coords, h) for h in out]
             return candidates_at[r]
 
         # each column as (coordinates, echelon basis of its sources' coordinates)
@@ -413,16 +423,12 @@ class _Canonicalizer:
             cosets.append((self.cols[r] & coords, u))
 
         seen: set = set()
-        # state: (position, side bases, combined basis, chosen columns); chosen
-        # columns form a linked list of (parent, index, whole column).  A side
-        # is used exactly when its basis is nonempty: column 0 always goes to
-        # side 0 with a nonzero candidate, and a candidate reduces to zero only
-        # against a nonempty basis.
+        # state: (position, side bases, combined basis, chosen as (parent, index, whole column))
         stack = [(0, (), (), (), None)]
         while stack:
             idx, b1, b2, comb, chosen = stack.pop()
             if idx == len(order):
-                if b1 and b2:
+                if b2:
                     columns = {}
                     while chosen is not None:
                         chosen, r, col = chosen
@@ -437,23 +443,19 @@ class _Canonicalizer:
             if b2 and _dead_column(reduce, extend, cosets[idx:], b1, b2, comb):
                 continue
             r = order[idx]
-            sides = (0,) if idx == 0 else (0, 1)
-            for side in sides:
+            for side in (0,) if idx == 0 else (0, 1):
                 own = b1 if side == 0 else b2
-                tried, seen_spans = set(), set()
+                tried = set()
                 for h, col in candidates(r):
                     red = reduce(h, own)
                     if red:
                         if red in tried:
-                            continue  # same span as an earlier candidate, or dependent
+                            continue  # same reduction as an earlier candidate
                         tried.add(red)
                         new_comb = extend(comb, red)
                         if new_comb is None:
                             continue  # would intersect the other side
                         new_own = extend(own, red)
-                        if new_own in seen_spans:
-                            continue
-                        seen_spans.add(new_own)
                     else:
                         # span unchanged on its own side: combined is unchanged too
                         new_own, new_comb = own, comb

@@ -88,7 +88,7 @@ class Poset:
                 for j in range(i + 1, n)
                 if up[i] >> j & 1 and up[j] >> i & 1
             )
-        cycle = _find_cycle(n, pair_list, i + 1, j + 1)
+        cycle = _find_cycle(pair_list, i + 1, j + 1)
         raise ValueError(
             "relations contain a cycle (antisymmetry violated): "
             + " <= ".join(str(x) for x in cycle)
@@ -286,32 +286,28 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in _bits(mask))
 
 
-def _find_cycle(n: int, pairs: list[tuple[int, int]], a: int, b: int) -> list[int]:
+def _find_cycle(pairs: list[tuple[int, int]], a: int, b: int) -> list[int]:
     """A directed cycle a -> ... -> b -> ... -> a among the input pairs."""
-    forward = _path(n, pairs, a, b)
-    backward = _path(n, pairs, b, a)
-    return forward + backward[1:]
-
-
-def _path(n: int, pairs: list[tuple[int, int]], src: int, dst: int) -> list[int]:
     adj: dict[int, list[int]] = {}
     for x, y in pairs:
         if x != y:
             adj.setdefault(x, []).append(y)
-    prev = {src: 0}
+    return _path(adj, a, b) + _path(adj, b, a)[1:]
+
+
+def _path(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
+    """A shortest path from src to dst, which must exist, by breadth-first search."""
+    prev = {src: src}
     queue = [src]
-    while queue:
-        cur = queue.pop(0)
-        if cur == dst:
-            path = [dst]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            return path[::-1]
+    for cur in queue:  # the loop also visits what it appends
         for nxt in adj.get(cur, ()):
             if nxt not in prev:
                 prev[nxt] = cur
                 queue.append(nxt)
-    return [src, dst]  # unreachable for pairs that produced a closure cycle
+    path = [dst]
+    while path[-1] != src:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def leq_poset(p: Poset, q: Poset) -> bool:

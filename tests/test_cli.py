@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +268,17 @@ def test_bench_command(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["trials"] == 20
     assert set(payload["decode_seconds"]) == {"full", "leveled1", "leveled2"}
+
+
+def test_cli_import_leaves_selftest_modules_unloaded():
+    # only the selftest command needs them; each command pays the import of the CLI
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys, posetcode.cli\n"
+        "print(sorted(m for m in ('posetcode.selftest', 'posetcode.oracle', 'posetcode.randgen')"
+        " if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

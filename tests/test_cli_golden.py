@@ -85,6 +85,11 @@ def _cases() -> dict[str, list[str]]:
             "decode", *f3, "--code", "inputs/f3.code",
             "--vec", FIXTURES["f3"]["bad_vec"], "--algorithm", "leveled1",
         ],
+        "error-poset-cycle": ["validate", "--poset", "inputs/cycle.poset"],
+        "error-rank-deficient": ["decompose", *f2, "--code", "inputs/equal_rows.code"],
+        "error-empty-poset": ["neighbors", "--poset", "inputs/empty.poset"],
+        "error-empty-code": ["validate", "--code", "inputs/empty.code"],
+        "error-nothing-to-validate": ["validate"],
     })
     return cases
 

@@ -345,15 +345,24 @@ class TestCanonicalForm:
 
     def test_coset_passes_never_lower_the_score_and_settle_for_good(self):
         # canonical_form keeps no snapshot to restore and runs the passes a
-        # second time only after a repeat; both rest on what this checks,
-        # on a fresh state and after every applied split
+        # second time only after a repeat, and the split search keeps no
+        # check for zero candidates; all rest on what this checks, on a
+        # fresh state and after every applied split
         repeats = 0
+
+        def rank(state, columns):
+            return Matrix(state.field, [state.kernel.unpack(state.cols[j]) for j in columns],
+                          n=state.k).rank()
 
         def passes(state):
             nonlocal repeats
             before = state.score()
             settled = state.coset_passes()
             assert state.score() >= before
+            # each nonzero column lies outside the span of the columns above it
+            for r in range(state.n):
+                if any(state.kernel.unpack(state.cols[r])):
+                    assert rank(state, state.ups[r] + [r]) == rank(state, state.ups[r]) + 1
             if settled:
                 cols = list(state.cols)
                 assert state.coset_passes()

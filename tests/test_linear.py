@@ -185,6 +185,8 @@ def test_generalized_reduced_form_predicate():
     # right-most-pivot reduced form
     assert not _permutation_reduced_oracle(EXAMPLE_G_CLASSICAL)
     assert not is_generalized_rref(EXAMPLE_G_CLASSICAL)
+    # a zero row has no pivot
+    assert not is_generalized_rref(Matrix(F2, [[1, 0, 1], [0, 0, 0]]))
 
 
 def test_generalized_reduced_form_matches_oracle_on_randoms():
@@ -280,6 +282,8 @@ def test_vector_arithmetic_roundtrip(p, data):
     v = Vector(field, data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
     assert (u + v) - v == u
     assert u - u == Vector(field, [0] * n)
+    c = data.draw(st.integers(0, p - 1))
+    assert u.scale(c).coords == tuple(a * c % p for a in u.coords)
 
 
 # -- packed-row kernel ----------------------------------------------------

@@ -120,6 +120,9 @@ def test_poset_order():
     chain_132 = Poset.chain(3, order=[1, 3, 2])
     assert leq_poset(p, chain_132)
     assert not leq_poset(chain_132, p)
+    # the operator form, between p and its neighbors
+    assert lower_neighbor(p) <= p <= upper_neighbor(p)
+    assert not chain_132 <= p
     with pytest.raises(ValueError):
         leq_poset(p, Poset.antichain(4))
 
