@@ -27,7 +27,7 @@ from operator import and_, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
-from .decomp import Decomposition, _row_graph_groups, maximal_p_decomposition
+from .decomp import Decomposition, maximal_p_decomposition
 from .linear import (
     Code,
     Matrix,
@@ -37,7 +37,7 @@ from .linear import (
     invert_matrix,
     row_kernel,
 )
-from .poset import Poset, _elements_mask, cut_levels
+from .poset import Poset, _elements_mask, _row_graph_groups, cut_levels
 
 
 def parity_check(code: Code) -> Matrix:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .linear import Basis, Code, Matrix, RowKernel, is_generalized_rref, p_weight, row_kernel
-from .poset import Poset, _mask_to_set, _nonzero_mask
+from .poset import Poset, _mask_to_set, _nonzero_mask, _row_graph_groups, _strict_ups
 
 
 @dataclass(frozen=True)
@@ -132,27 +132,6 @@ class PDecomposition:
     witness: Matrix
 
 
-def _row_graph_groups(masks: Sequence[int]) -> list[list[int]]:
-    """Connected components of the graph joining indices whose masks
-    intersect, in order of their smallest index, each sorted.
-
-    Rows sharing a column, columns sharing a row and components sharing
-    an ideal are all grouped here; a zero mask stands alone."""
-    # one pass: index r joins every group whose union meets its mask,
-    # so the unions of distinct groups stay disjoint
-    groups: list[tuple[int, list[int]]] = []
-    for r, mask in enumerate(masks):
-        union, members, rest = mask, [r], []
-        for group in groups:
-            if group[0] & mask:
-                union |= group[0]
-                members = group[1] + members
-            else:
-                rest.append(group)
-        groups = rest + [(union, members)]
-    return sorted(sorted(members) for _, members in groups)
-
-
 def components_from_matrix(g: Matrix) -> Decomposition:
     """The decomposition a generator matrix determines.
 
@@ -168,13 +147,6 @@ def components_from_matrix(g: Matrix) -> Decomposition:
     )
     pointer = _mask_to_set(((1 << g.n) - 1) & ~functools.reduce(operator.or_, masks))
     return Decomposition(code, components, pointer)
-
-
-def _strict_ups(poset: Poset) -> list[list[int]]:
-    """For each 0-indexed column r, the 0-indexed columns strictly above it."""
-    n = poset.n
-    downs = [poset.ideal_mask(1 << j) for j in range(n)]
-    return [[j for j in range(n) if j != r and downs[j] >> r & 1] for r in range(n)]
 
 
 def _coset_representative(
@@ -391,7 +363,9 @@ class _Canonicalizer:
         put (1 - a)c in span(b1 + b2), where no candidate extends `comb`.
         """
         support_set = set(support)
-        if not any(j in support_set for r in support for j in self.ups[r]):
+        # the sources of each column: the columns strictly above it in the component
+        sources = {r: [j for j in self.ups[r] if j in support_set] for r in support}
+        if not any(sources.values()):
             return None
         heights = self.poset.heights()
         order = sorted(support, key=lambda j: (-heights[j], j))
@@ -406,10 +380,9 @@ class _Canonicalizer:
             (coordinates, whole column with tags)."""
             if r not in candidates_at:
                 out = [self.cols[r]]
-                for j in self.ups[r]:
-                    if j in support_set:
-                        mult = multiples(self.cols[j])
-                        out = [add(h, m) for h in out for m in mult]
+                for j in sources[r]:
+                    mult = multiples(self.cols[j])
+                    out = [add(h, m) for h in out for m in mult]
                 candidates_at[r] = [(h & coords, h) for h in out]
             return candidates_at[r]
 
@@ -417,9 +390,8 @@ class _Canonicalizer:
         cosets = []
         for r in order:
             u: Basis = ()
-            for j in self.ups[r]:
-                if j in support_set:
-                    u = extend(u, self.cols[j] & coords) or u
+            for j in sources[r]:
+                u = extend(u, self.cols[j] & coords) or u
             cosets.append((self.cols[r] & coords, u))
 
         seen: set = set()
@@ -571,5 +543,7 @@ def validate_p_decomposition(pd: PDecomposition, poset: Poset) -> None:
             raise ValueError("witness does not preserve weights on the generators")
         if not target.contains(image):
             raise ValueError("witness does not map the code onto the decomposition")
-    if transformed.rank() != pd.original.k:
-        raise ValueError("witness collapses the code")
+    # an invertible witness keeps the rank, so the image is onto exactly
+    # when the dimensions agree
+    if target.k != pd.original.k:
+        raise ValueError("witness does not map the code onto the decomposition")

@@ -9,8 +9,7 @@ MAX_CHARACTERISTIC = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Primality of n >= 2 by trial division."""
     if n % 2 == 0:
         return n == 2
     d = 3

@@ -62,23 +62,20 @@ class Vector:
         if len(self.coords) != len(other.coords):
             raise ValueError(f"length mismatch: {len(self.coords)} vs {len(other.coords)}")
 
+    # the constructor reduces mod p
     def __add__(self, other: "Vector") -> "Vector":
         self._check(other)
-        p = self.field.p
-        return Vector(self.field, ((a + b) % p for a, b in zip(self.coords, other.coords)))
+        return Vector(self.field, (a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check(other)
-        p = self.field.p
-        return Vector(self.field, ((a - b) % p for a, b in zip(self.coords, other.coords)))
+        return Vector(self.field, (a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Vector":
-        p = self.field.p
-        return Vector(self.field, ((-a) % p for a in self.coords))
+        return Vector(self.field, (-a for a in self.coords))
 
     def scale(self, c: int) -> "Vector":
-        p = self.field.p
-        return Vector(self.field, (a * c % p for a in self.coords))
+        return Vector(self.field, (a * c for a in self.coords))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -366,33 +363,17 @@ def row_reduce_inverse(g: Matrix) -> Matrix:
     return Matrix(g.field, [kernel.unpack(b)[::-1] for _, b in basis], n=g.n)
 
 
-def _pivot_columns_rightmost(g: Matrix) -> list[int] | None:
-    """0-indexed right-most nonzero column per row; None if a row is zero."""
-    out = []
-    for row in g.rows:
-        j = next((c for c in range(g.n - 1, -1, -1) if row[c]), None)
-        if j is None:
-            return None
-        out.append(j)
-    return out
-
-
 def is_generalized_rref(g: Matrix) -> bool:
     """Whether some row permutation of g is in right-most-pivot reduced form.
 
     Each row's right-most nonzero column must contain no other nonzero
-    entry; the rows can then always be permuted into decreasing pivot
-    order.
+    entry (so no two rows share one); the rows can then always be
+    permuted into decreasing pivot order.
     """
-    if g.k == 0:
-        return True
-    pivots = _pivot_columns_rightmost(g)
-    if pivots is None or len(set(pivots)) != g.k:
-        return False
-    for row_idx, j in enumerate(pivots):
-        for other in range(g.k):
-            if other != row_idx and g.rows[other][j]:
-                return False
+    for row_idx, row in enumerate(g.rows):
+        j = next((c for c in range(g.n - 1, -1, -1) if row[c]), None)
+        if j is None or any(other[j] for o, other in enumerate(g.rows) if o != row_idx):
+            return False
     return True
 
 

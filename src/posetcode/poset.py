@@ -4,6 +4,13 @@ Construction by reflexive-transitive closure, order ideals, heights and
 levels, the chain/antichain/hierarchical predicates, the containment
 order between posets on the same ground set, and the hierarchical
 upper/lower neighbors.
+
+It also hosts the bit-mask helpers the other modules share: `_bits`,
+`_nonzero_mask`, `_elements_mask` and `_mask_to_set` convert between
+masks and coordinates, `_row_graph_groups` groups indices whose masks
+intersect (code components, plan groups and the levels between
+complete cuts), and `_strict_ups` lists the elements strictly above
+each element.
 """
 
 from __future__ import annotations
@@ -286,6 +293,33 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in _bits(mask))
 
 
+def _row_graph_groups(masks: Sequence[int]) -> list[list[int]]:
+    """Connected components of the graph joining indices whose masks
+    intersect, in order of their smallest index, each sorted.
+
+    Rows sharing a column, columns sharing a row, components sharing an
+    ideal and incomparable elements (`cut_levels`) are all grouped here;
+    a zero mask stands alone."""
+    # one pass: index r joins every group whose union meets its mask,
+    # so the unions of distinct groups stay disjoint
+    groups: list[tuple[int, list[int]]] = []
+    for r, mask in enumerate(masks):
+        union, members, rest = mask, [r], []
+        for group in groups:
+            if group[0] & mask:
+                union |= group[0]
+                members = group[1] + members
+            else:
+                rest.append(group)
+        groups = rest + [(union, members)]
+    return sorted(sorted(members) for _, members in groups)
+
+
+def _strict_ups(poset: Poset) -> list[list[int]]:
+    """For each 0-indexed element r, the 0-indexed elements strictly above it."""
+    return [list(_bits(up & ~(1 << r))) for r, up in enumerate(poset._up)]
+
+
 def _find_cycle(pairs: list[tuple[int, int]], a: int, b: int) -> list[int]:
     """A directed cycle a -> ... -> b -> ... -> a among the input pairs."""
     adj: dict[int, list[int]] = {}
@@ -330,25 +364,14 @@ def complete_cuts(p: Poset) -> list[frozenset[int]]:
     """All subsets A with a < b for every a in A, b outside A.
 
     The cuts are totally ordered by inclusion and returned smallest
-    first; the trivial cuts (empty set and the whole ground set) are
-    always present.
+    first: the empty set, then the running unions of `cut_levels`, whose
+    lower segments are exactly the complete cuts.  The trivial cuts
+    (empty set and the whole ground set) are always present.
     """
-    n = p.n
-    full = (1 << n) - 1
-    strict_up = [p._up[i] & ~(1 << i) for i in range(n)]
-    above_count = [bin(m).count("1") for m in strict_up]
-    cuts = []
-    for k in range(n + 1):
-        cand = 0
-        for i in range(n):
-            if above_count[i] >= n - k:
-                cand |= 1 << i
-        if bin(cand).count("1") != k:
-            continue
-        outside = full & ~cand
-        if all(strict_up[i] & outside == outside for i in _bits(cand)):
-            cuts.append(cand)
-    return [_mask_to_set(m) for m in cuts]
+    cuts = [frozenset()]
+    for level in cut_levels(p):
+        cuts.append(cuts[-1] | frozenset(level))
+    return cuts
 
 
 def cut_levels(p: Poset) -> list[list[int]]:
@@ -356,16 +379,28 @@ def cut_levels(p: Poset) -> list[list[int]]:
 
     Every element of a level lies strictly below every element of each
     higher level; the levels are the finest partition with that
-    property.
+    property.  They are the connected components of the graph joining
+    incomparable elements:
+
+    - No complete cut separates two incomparable elements.
+    - Take two different components C and D.  Every x in C is comparable
+      with every y in D.  Suppose x < y, and x' is incomparable with x.
+      Then x' < y, because x' > y would give x' > x.  By connectivity
+      all of C lies below y, and by the same step on D, all of C lies
+      below all of D.
+    - So the components form a chain, and the complete cuts are the
+      unions of its lower segments.
+    - x < y implies |down(x)| < |down(y)|, so any member's down-set size
+      orders the chain.
     """
-    levels = []
-    prev: frozenset[int] = frozenset()
-    for cut in complete_cuts(p):
-        diff = cut - prev
-        if diff:
-            levels.append(sorted(diff))
-        prev = cut
-    return levels
+    full = (1 << p.n) - 1
+    groups = _row_graph_groups(
+        [full & ~(up | down) | 1 << i for i, (up, down) in enumerate(zip(p._up, p._down))]
+    )
+    return [
+        [x + 1 for x in group]
+        for group in sorted(groups, key=lambda group: p._down[group[0]].bit_count())
+    ]
 
 
 def lower_neighbor(p: Poset) -> Poset:

@@ -11,7 +11,7 @@ import itertools
 from posetcode.decode import parity_check, unproject_support
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, Vector, p_distance
-from posetcode.poset import Poset, cut_levels
+from posetcode.poset import Poset
 
 
 def all_vectors(field: PrimeField, n: int) -> list[Vector]:
@@ -48,6 +48,18 @@ def brute_heights(poset: Poset) -> list[int]:
             if all(poset.leq(b, top) for b in subset):
                 heights[top - 1] = max(heights[top - 1], size)
     return heights
+
+
+def brute_complete_cuts(poset: Poset) -> list[frozenset[int]]:
+    """Every subset A with a < b for all a in A and b outside it, found by
+    testing all subsets, smallest first."""
+    ground = range(1, poset.n + 1)
+    return [
+        frozenset(a)
+        for size in range(poset.n + 1)
+        for a in itertools.combinations(ground, size)
+        if all(poset.strictly_less(x, y) for x in a for y in ground if y not in a)
+    ]
 
 
 def brute_weight(v: Vector, poset: Poset) -> int:
@@ -184,7 +196,8 @@ def reference_decode_alg2(plan, y: Vector) -> Vector:
 def reference_hierarchical_groups(d, poset: Poset) -> tuple[tuple[int, ...], ...]:
     """Hierarchical groups from the quotient order closed by
     `Poset.from_relations`, component i below j when every element of
-    its support is strictly below every element of j's."""
+    its support is strictly below every element of j's: the differences
+    of consecutive complete cuts of the quotient, found over all subsets."""
     supports = [comp.support() for comp in d.components]
     below = [
         (i + 1, j + 1)
@@ -192,8 +205,8 @@ def reference_hierarchical_groups(d, poset: Poset) -> tuple[tuple[int, ...], ...
         for j, hi in enumerate(supports)
         if i != j and all(poset.strictly_less(a, b) for a in lo for b in hi)
     ]
-    quotient = Poset.from_relations(len(supports), below)
-    return tuple(tuple(i - 1 for i in level) for level in cut_levels(quotient))
+    cuts = brute_complete_cuts(Poset.from_relations(len(supports), below))
+    return tuple(tuple(sorted(i - 1 for i in hi - lo)) for lo, hi in zip(cuts, cuts[1:]))
 
 
 # -- reference canonicalizer ----------------------------------------------

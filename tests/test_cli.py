@@ -230,7 +230,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "does not match" in err
 
-    def test_exit_codes(self, workdir, capsys, tmp_path):
+    def test_exit_codes(self, workdir, capsys, tmp_path, monkeypatch):
         bad = tmp_path / "bad.poset"
         bad.write_text("poset n=2\n1 3\n")
         assert main(["validate", "--poset", str(bad)]) == 1
@@ -244,6 +244,19 @@ class TestCommands:
         assert main(["radius", "--poset", str(bigp), "--code", str(big), "--exact"]) == 2
         capsys.readouterr()
         assert main(["weight", "--poset", str(bad)]) == 1  # usage + parse errors
+        capsys.readouterr()
+        # a broken invariant exits 3: a failing selftest check, then an internal error
+        monkeypatch.setattr("posetcode.selftest.run_selftest", lambda seed, budget: [("x", False)])
+        assert main(["selftest"]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "selftest FAILED"
+
+        def broken(code, poset):
+            raise RuntimeError("x")
+
+        monkeypatch.setattr(cli_module, "maximal_p_decomposition", broken)
+        assert main(["decompose", "--poset", str(workdir / "a.poset"),
+                     "--code", str(workdir / "g.code")]) == 3
+        assert capsys.readouterr().err == "internal error: x\n"
 
     def test_byte_identical_reruns(self, workdir, capsys):
         args = ["decompose", "--poset", str(workdir / "a.poset"),

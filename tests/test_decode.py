@@ -256,6 +256,12 @@ class TestDecoding:
                 decode(Vector(F3, [1, 2, 0]))
             with pytest.raises(ValueError, match="length"):
                 decode(Vector(F2, [1, 0]))
+        # the builders reject an order on another ground set
+        mismatch = "poset ground set 4 does not match code length 3"
+        with pytest.raises(ValueError, match=mismatch):
+            build_table(code, Poset.chain(4))
+        with pytest.raises(ValueError, match=mismatch):
+            build_plan(components_from_matrix(code.gen), Poset.chain(4))
 
     def test_single_hamming_error_corrected(self):
         code = Code.from_rows(F2, [[1, 1, 1]])

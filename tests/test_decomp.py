@@ -12,6 +12,7 @@ from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, is_generalized_rref, row_reduce_inverse
 from posetcode.decomp import (
     Decomposition,
+    PDecomposition,
     PointedPartition,
     canonical_form,
     components_from_matrix,
@@ -236,6 +237,8 @@ class TestCanonicalForm:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             canonical_form(SIX_COL_G, Poset.antichain(5))
+        with pytest.raises(ValueError, match="poset ground set 5 does not match matrix width 6"):
+            is_p_canonical(SIX_COL_G, Poset.antichain(5))
 
     def test_rank_deficiency_rejected(self):
         with pytest.raises(ValueError, match="rank"):
@@ -277,6 +280,33 @@ class TestCanonicalForm:
                 pd = maximal_p_decomposition(code, p)
                 assert witness_in_reducing_group(pd.witness, p)
                 validate_p_decomposition(pd, p)
+        # 1 < 2 allows e_2 to absorb e_1; the antichain does not
+        absorb = Matrix(F2, [[1, 1], [0, 1]])
+        assert witness_in_reducing_group(absorb, Poset.chain(2))
+        assert not witness_in_reducing_group(absorb, Poset.antichain(2))
+        assert not witness_in_reducing_group(Matrix(F2, [[0, 1], [1, 0]]), Poset.chain(2))
+        assert not witness_in_reducing_group(Matrix.identity(F2, 3), Poset.chain(2))
+        assert not witness_in_reducing_group(Matrix(F2, [[1, 0]]), Poset.chain(2))
+
+    def test_validator_rejects_each_broken_witness(self):
+        code = Code.from_rows(F2, [[1, 0]])
+        line = components_from_matrix(code.gen)
+        identity = Matrix.identity(F2, 2)
+        swap = Matrix(F2, [[0, 1], [1, 0]])
+        validate_p_decomposition(PDecomposition(code, line, identity), Poset.antichain(2))
+        cases = [
+            (line, Matrix(F2, [[1, 0]]), Poset.antichain(2), "square"),
+            (line, Matrix(F2, [[1, 0], [1, 0]]), Poset.antichain(2), "singular"),
+            (line, swap, Poset.chain(2), "preserve weights"),
+            # the image (0, 1) keeps its weight but leaves the line
+            (line, swap, Poset.antichain(2), "onto the decomposition"),
+            # into, but not onto: the line maps into the whole plane
+            (components_from_matrix(identity), identity, Poset.antichain(2),
+             "onto the decomposition"),
+        ]
+        for decomposition, witness, poset, message in cases:
+            with pytest.raises(ValueError, match=message):
+                validate_p_decomposition(PDecomposition(code, decomposition, witness), poset)
 
     def test_oracle_agreement_small(self):
         rng = random.Random(31)

@@ -82,6 +82,8 @@ def test_weight_on_star_poset():
 def test_weight_length_mismatch():
     with pytest.raises(ValueError):
         p_weight(Vector(F2, [1, 0]), Poset.antichain(3))
+    with pytest.raises(ValueError, match="poset ground set 3 does not match code length 2"):
+        min_distance(Code.from_rows(F2, [[1, 0]]), Poset.antichain(3))
 
 
 def test_distance_examples():

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from conftest import brute_heights, brute_ideal
+from conftest import brute_complete_cuts, brute_heights, brute_ideal
 from posetcode import oracle
 from posetcode.poset import (
     Poset,
     complete_cuts,
+    cut_levels,
     leq_poset,
     lower_neighbor,
     upper_neighbor,
@@ -41,6 +42,8 @@ def test_ground_set_bounds():
         Poset.from_relations(65, [])
     with pytest.raises(ValueError):
         Poset.from_relations(3, [(1, 4)])
+    with pytest.raises(ValueError, match="chain order must enumerate the ground set exactly once"):
+        Poset.chain(3, [1, 2, 2])
 
 
 def test_relation_masks_must_stay_inside_the_ground_set():
@@ -51,6 +54,10 @@ def test_relation_masks_must_stay_inside_the_ground_set():
         Poset(1, [-1])
     with pytest.raises(ValueError, match="element 3 has bits outside"):
         Poset(3, [0b001, 0b010, 0b1100])
+    with pytest.raises(ValueError, match="need one relation mask per element"):
+        Poset(2, [0b11])
+    with pytest.raises(ValueError, match=r"^relation is not reflexive at element 1$"):
+        Poset(2, [0b10, 0b10])
     assert Poset(2, [0b11, 0b10]).leq(1, 2)
 
 
@@ -226,16 +233,14 @@ def _small_posets(seed: int, count: int):
 
 
 def test_complete_cuts_match_definition_over_all_subsets():
+    small = [p for _, p in _small_posets(19, 60)]
+    every = [p for n in range(1, 5) for p in oracle.enum_posets(n)]
+    assert len(every) == 1 + 3 + 19 + 219
     nontrivial = 0
-    for _, p in _small_posets(19, 60):
-        ground = range(1, p.n + 1)
-        expected = [
-            frozenset(a)
-            for size in range(p.n + 1)
-            for a in itertools.combinations(ground, size)
-            if all(p.strictly_less(x, y) for x in a for y in ground if y not in a)
-        ]
+    for p in small + every:
+        expected = brute_complete_cuts(p)
         assert complete_cuts(p) == expected
+        assert cut_levels(p) == [sorted(hi - lo) for lo, hi in zip(expected, expected[1:])]
         nontrivial += len(expected) > 2
     assert nontrivial >= 10
 
