@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 input error, 2 enumeration budget exceeded,
 3 internal invariant violation.
+
+Each command imports the functions it calls in its own body, so a call
+runs only the modules that command needs (the package loads lazily).
 """
 
 from __future__ import annotations
@@ -15,19 +18,6 @@ import click
 
 from . import files
 from .budget import BudgetExceededError, DEFAULT_BUDGET
-from .decomp import degree, is_p_canonical, maximal_p_decomposition, profile
-from .decode import (
-    build_plan_for_code,
-    build_table,
-    decode_full,
-    decode_leveled_alg1,
-    decode_leveled_alg2,
-    table_sizes,
-)
-from .field import PrimeField
-from .linear import Vector, min_distance, p_distance, p_weight
-from .poset import lower_neighbor, upper_neighbor
-from .radius import packing_radius_bounds, packing_radius_exact
 
 
 def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
@@ -46,6 +36,8 @@ def _require_same_n(poset, code) -> None:
 
 
 def _decomposition_payload(pd) -> dict:
+    from .decomp import degree, profile
+
     d = pd.decomposition
     return {
         "profile": [list(e) for e in profile(d)],
@@ -136,6 +128,8 @@ def validate(poset_path, code_path, as_json):
 @json_option
 def canonicalize(poset, code, as_json):
     """Reduce the generator matrix to its order-canonical form."""
+    from .decomp import degree, is_p_canonical, maximal_p_decomposition, profile
+
     pd = maximal_p_decomposition(code, poset)
     gstar = pd.decomposition.code.gen
     entries, value = profile(pd.decomposition), degree(pd)
@@ -158,6 +152,8 @@ def canonicalize(poset, code, as_json):
 @json_option
 def decompose(poset, code, as_json):
     """Maximal decomposition of the code under the order weight."""
+    from .decomp import maximal_p_decomposition
+
     pd = maximal_p_decomposition(code, poset)
     payload = _decomposition_payload(pd)
     lines = [
@@ -175,6 +171,8 @@ def decompose(poset, code, as_json):
 @json_option
 def profile_cmd(poset, code, as_json):
     """Profile of the maximal decomposition."""
+    from .decomp import maximal_p_decomposition, profile
+
     pd = maximal_p_decomposition(code, poset)
     entries = [list(e) for e in profile(pd.decomposition)]
     _emit({"profile": entries}, as_json, [f"profile: {[tuple(e) for e in entries]}"])
@@ -185,6 +183,8 @@ def profile_cmd(poset, code, as_json):
 @json_option
 def degree_cmd(poset, code, as_json):
     """Degree of the maximal decomposition."""
+    from .decomp import degree, maximal_p_decomposition
+
     value = degree(maximal_p_decomposition(code, poset))
     _emit({"degree": value}, as_json, [f"degree: {value}"])
 
@@ -194,6 +194,8 @@ def degree_cmd(poset, code, as_json):
 @json_option
 def neighbors(poset_path, as_json):
     """Hierarchical upper and lower neighbors of the poset."""
+    from .poset import lower_neighbor, upper_neighbor
+
     poset = files.load_poset(poset_path)
     up, lo = upper_neighbor(poset), lower_neighbor(poset)
     payload = {
@@ -214,6 +216,9 @@ def neighbors(poset_path, as_json):
 @json_option
 def weight(poset_path, vec_text, q, as_json):
     """Order weight of a vector."""
+    from .field import PrimeField
+    from .linear import p_weight
+
     poset = files.load_poset(poset_path)
     v = files.parse_vector(vec_text, PrimeField(q), poset.n, where="--vec")
     w = p_weight(v, poset)
@@ -226,6 +231,8 @@ def weight(poset_path, vec_text, q, as_json):
 @json_option
 def mindist(poset, code, budget, as_json):
     """Minimum nonzero codeword weight, by exhaustive enumeration."""
+    from .linear import min_distance
+
     d = min_distance(code, poset, budget)
     _emit({"min_distance": d}, as_json, [f"min distance: {d}"])
 
@@ -238,6 +245,8 @@ def mindist(poset, code, budget, as_json):
 @json_option
 def radius(poset, code, mode, budget, as_json):
     """Packing radius: exact by support bipartition, or neighbor bounds."""
+    from .radius import packing_radius_bounds, packing_radius_exact
+
     if mode == "exact":
         value = packing_radius_exact(code, poset, budget)
         _emit({"exact": value}, as_json, [f"packing radius: {value}"])
@@ -257,6 +266,8 @@ def radius(poset, code, mode, budget, as_json):
 @json_option
 def table_plan(poset, code, budget, as_json):
     """Lookup-table accounting for the leveled decoder."""
+    from .decode import build_plan_for_code, table_sizes
+
     plan = build_plan_for_code(code, poset, budget)
     sizes = table_sizes(plan)
     payload = dict(sizes)
@@ -293,6 +304,15 @@ def table_plan(poset, code, budget, as_json):
 @json_option
 def decode(poset, code, vec_text, vectors_path, algorithm, budget, as_json):
     """Decode received vectors to nearest codewords."""
+    from .decode import (
+        build_plan_for_code,
+        build_table,
+        decode_full,
+        decode_leveled_alg1,
+        decode_leveled_alg2,
+    )
+    from .linear import p_distance
+
     received = []
     if vec_text:
         received.append(files.parse_vector(vec_text, code.field, code.n, where="--vec"))
@@ -356,6 +376,16 @@ class _SelftestFailure(Exception):
 def bench(poset, code, trials, seed, budget, as_json):
     """Time table construction and decoding on random received vectors."""
     import random as _random
+
+    from .decode import (
+        build_plan_for_code,
+        build_table,
+        decode_full,
+        decode_leveled_alg1,
+        decode_leveled_alg2,
+        table_sizes,
+    )
+    from .linear import Vector
 
     rng = _random.Random(seed)
     t0 = time.perf_counter()

@@ -542,8 +542,8 @@ def validate_p_decomposition(pd: PDecomposition, poset: Poset) -> None:
         if p_weight(orig_row, poset) != p_weight(image, poset):
             raise ValueError("witness does not preserve weights on the generators")
         if not target.contains(image):
-            raise ValueError("witness does not map the code onto the decomposition")
+            raise ValueError("witness maps a generator outside the decomposed code")
     # an invertible witness keeps the rank, so the image is onto exactly
     # when the dimensions agree
     if target.k != pd.original.k:
-        raise ValueError("witness does not map the code onto the decomposition")
+        raise ValueError("witness maps the code into, but not onto, the decomposition")

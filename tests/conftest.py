@@ -1,17 +1,33 @@
 """Shared brute-force oracles used to cross-check library routines.
 
 These deliberately re-derive everything from definitions, independent of
-the code paths they validate.
+the code paths they validate.  `run_fresh` runs a script in a new
+interpreter, for tests of what importing the package loads.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from posetcode.decode import parity_check, unproject_support
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, Vector, p_distance
 from posetcode.poset import Poset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script: str) -> str:
+    """Stdout of `script` run by a new interpreter that imports the
+    package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
 
 
 def all_vectors(field: PrimeField, n: int) -> list[Vector]:

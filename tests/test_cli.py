@@ -1,11 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
 from posetcode import cli as cli_module
 from posetcode import decomp as decomp_module
 from posetcode import files
@@ -253,7 +250,7 @@ class TestCommands:
         def broken(code, poset):
             raise RuntimeError("x")
 
-        monkeypatch.setattr(cli_module, "maximal_p_decomposition", broken)
+        monkeypatch.setattr("posetcode.decomp.maximal_p_decomposition", broken)
         assert main(["decompose", "--poset", str(workdir / "a.poset"),
                      "--code", str(workdir / "g.code")]) == 3
         assert capsys.readouterr().err == "internal error: x\n"
@@ -285,13 +282,39 @@ def test_bench_command(workdir, capsys):
 
 def test_cli_import_leaves_selftest_modules_unloaded():
     # only the selftest command needs them; each command pays the import of the CLI
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     script = (
         "import sys, posetcode.cli\n"
         "print(sorted(m for m in ('posetcode.selftest', 'posetcode.oracle', 'posetcode.randgen')"
         " if m in sys.modules))"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert run_fresh(script).strip() == "[]"
+
+
+def test_commands_run_only_the_modules_they_call(workdir):
+    # A lazy module is still of the loader's own type until its body runs;
+    # type() reads no attribute, so it does not trigger the load.
+    inputs = ["--poset", str(workdir / "a.poset"), "--code", str(workdir / "g.code")]
+    commands = [["validate", *inputs], ["canonicalize", *inputs], ["table-plan", *inputs],
+                ["radius", "--bounds", *inputs]]
+    script = f"""
+import contextlib, io, sys, types
+import posetcode.cli
+
+def ran():
+    names = ("posetcode.decomp", "posetcode.decode", "posetcode.radius")
+    return [m for m in names if type(sys.modules[m]) is types.ModuleType]
+
+steps = [ran()]
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert posetcode.cli.main(argv) == 0
+    steps.append(ran())
+print(steps)
+"""
+    assert run_fresh(script).strip() == str([
+        [],  # import posetcode.cli
+        [],  # validate
+        ["posetcode.decomp"],  # canonicalize
+        ["posetcode.decomp", "posetcode.decode"],  # table-plan
+        ["posetcode.decomp", "posetcode.decode", "posetcode.radius"],  # radius --bounds
+    ])

@@ -299,10 +299,10 @@ class TestCanonicalForm:
             (line, Matrix(F2, [[1, 0], [1, 0]]), Poset.antichain(2), "singular"),
             (line, swap, Poset.chain(2), "preserve weights"),
             # the image (0, 1) keeps its weight but leaves the line
-            (line, swap, Poset.antichain(2), "onto the decomposition"),
+            (line, swap, Poset.antichain(2), "outside the decomposed code"),
             # into, but not onto: the line maps into the whole plane
             (components_from_matrix(identity), identity, Poset.antichain(2),
-             "onto the decomposition"),
+             "into, but not onto"),
         ]
         for decomposition, witness, poset, message in cases:
             with pytest.raises(ValueError, match=message):

@@ -3,8 +3,10 @@
 A module-level function or class whose name starts with `_` counts as
 used when some other top-level statement of any `src/posetcode/*.py`
 names it: as a bare name, an attribute or an imported name.  References
-inside its own definition, such as recursion, do not count.  The check
-reads each source file with `ast` only, so it needs no linter.
+inside its own definition, such as recursion, do not count.  Dunder
+names such as a module's `__getattr__` are exempt: the interpreter
+calls them, not the code.  The check reads each source file with `ast`
+only, so it needs no linter.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ def _unreferenced(sources: dict[str, str]) -> list[str]:
     ]
     out = []
     for module, stmt in statements:
-        if isinstance(stmt, DEFINITIONS) and stmt.name.startswith("_"):
-            if not any(
-                stmt.name in _names(other) for _, other in statements if other is not stmt
-            ):
-                out.append(f"{module}.{stmt.name}")
+        name = stmt.name if isinstance(stmt, DEFINITIONS) else ""
+        dunder = name.startswith("__") and name.endswith("__")
+        if name.startswith("_") and not dunder:
+            if not any(name in _names(other) for _, other in statements if other is not stmt):
+                out.append(f"{module}.{name}")
     return out
 
 
@@ -59,4 +61,9 @@ def test_check_flags_a_helper_used_only_by_itself():
         "a": "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n",
         "b": "from .a import _used\n",
     }
+    assert _unreferenced(sources) == ["a._dead"]
+
+
+def test_check_exempts_module_dunders():
+    sources = {"a": "def __getattr__(name):\n    pass\n\ndef _dead():\n    pass\n"}
     assert _unreferenced(sources) == ["a._dead"]
