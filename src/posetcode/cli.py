@@ -435,11 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
+    except click.exceptions.Abort:  # a RuntimeError, so it goes first
+        return 1
     except (AssertionError, RuntimeError) as exc:
         click.echo(f"internal error: {exc}", err=True)
         return 3
-    except click.exceptions.Abort:
-        return 1
     return 0
 
 

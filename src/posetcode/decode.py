@@ -11,11 +11,12 @@ multiples of each packed column of its parity matrix, so a word's
 syndrome is one kernel add per nonzero coordinate.  The table build
 lists the words on the first half of the coordinates and on the second
 half, each with its packed syndrome and ideal union, and scans the
-pairs in lexicographic order.  A decode plan folds its witness into
-one wide column per coordinate that carries every group's syndrome
-slots and every group's keep-map output at once.  A leveled decode is
-then one pass over the received word, a slice per group, one lookup
-per group that fires, one packed subtraction and one output `Vector`.
+pairs in lexicographic order.  A decode plan's accumulator is one
+matrix product S W: column i of S stacks every group's H_g e_i and
+W^-1 e_i on the decomposed domain, and the witness W is applied once,
+when the plan is built.  A leveled decode is then one pass over the
+received word, a slice per group, one lookup per group that fires, one
+packed subtraction and one output `Vector`.
 """
 
 from __future__ import annotations
@@ -102,10 +103,6 @@ class SyndromeTable:
     def syndrome(self, y: Vector) -> tuple[int, ...]:
         return tuple(self._kernel.unpack(self._packed_syndrome(y)))
 
-    def decode(self, y: Vector) -> Vector:
-        leader = self._index[self._packed_syndrome(y)]
-        return Vector(y.field, map(sub, y.coords, leader))
-
 
 def _check_word(code: Code, y: Vector) -> None:
     """Reject a word that does not lie in the ambient space of the code."""
@@ -180,8 +177,7 @@ def _coordinate_ideals(poset: Poset, coordinates: Iterable[int]) -> list[int]:
 
 def build_table(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) -> SyndromeTable:
     """Complete coset-leader table for the code under the order weight."""
-    if poset.n != code.n:
-        raise ValueError(f"poset ground set {poset.n} does not match code length {code.n}")
+    poset._check_ground_set(code.n)
     ideals = _coordinate_ideals(poset, range(1, code.n + 1))
     return _build_table(code, ideals, budget)
 
@@ -189,7 +185,8 @@ def build_table(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) -> Syndr
 def decode_full(table: SyndromeTable, y: Vector) -> Vector:
     """Subtract the coset leader of y's syndrome; the result is a nearest
     codeword under the table's weight."""
-    return table.decode(y)
+    leader = table._index[table._packed_syndrome(y)]
+    return Vector(y.field, map(sub, y.coords, leader))
 
 
 def project(code: Code, y: Vector) -> Vector:
@@ -212,6 +209,7 @@ def unproject_support(support: list[int], n: int, v: Vector) -> Vector:
 def independent_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...], ...]:
     """Partition of component indices into groups whose generated ideals
     are pairwise disjoint; decoding separates exactly across groups."""
+    poset._check_ground_set(d.code.n)
     ideals = [
         poset.ideal_mask(_elements_mask(comp.support())) for comp in d.components
     ]
@@ -227,6 +225,7 @@ def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...]
     component j when every element of its support is strictly below
     every element of j's.
     """
+    poset._check_ground_set(d.code.n)
     supports = [comp.support() for comp in d.components]
     # supports are disjoint, so S_i lies strictly below S_j exactly when it
     # lies inside the ideal of every element of S_j.  That relation is
@@ -276,12 +275,12 @@ class DecodePlan:
     order weight, so distances agree in both domains.
 
     Decoding never applies W or W^-1: `build_plan` folds them into one
-    packed accumulator.  Its column for input coordinate j stacks, group
-    after group from the lowest, column j of H_g times the rows of W on
-    the group's support (the group syndrome) and then column j of
-    W^-1 P_g W (the keep map, P_g keeping the supports of g and of the
-    groups above it).  Each group's leaders are stored unprojected,
-    carried out by W^-1 and negated, as packed n-slot rows.
+    packed accumulator S W.  Column i of S stacks, group after group
+    from the lowest, H_g e_i when i is in the group's support (the group
+    syndrome) and then W^-1 e_i when i is in the support of g or of a
+    group above it (the keep map W^-1 P_g W, once multiplied by W).
+    Each group's leaders are stored unprojected, carried out by W^-1 and
+    negated, as packed n-slot rows.
     """
 
     decomposition: Decomposition
@@ -316,45 +315,43 @@ def build_plan(
     (see `DecodePlan`), so that decoding needs no per-word projection
     or change of domain.
     """
-    if poset.n != d.code.n:
-        raise ValueError(f"poset ground set {poset.n} does not match code length {d.code.n}")
-    field, n = d.code.field, d.code.n
-    out = row_kernel(field.p, n)
-    inward = Matrix.identity(field, n) if witness is None else witness
+    poset._check_ground_set(d.code.n)
+    field, n, p = d.code.field, d.code.n, d.code.field.p
+    out = row_kernel(p, n)
     outward = Matrix.identity(field, n) if witness is None else invert_matrix(witness)
-    # the p multiples of column j of W^-1, the image of e_j, and of its negation
+    # the p multiples of column i of W^-1, the image of e_i
     outward_columns = _packed_columns(out, outward.rows, n)
-    negated = [[0, *multiples[:0:-1]] for multiples in outward_columns]
-    ordered = hierarchical_groups(d, poset)
-    supports = [
-        sorted(set().union(*(d.components[i].support() for i in indices)))
-        for indices in ordered
-    ]
-    plan_groups, slots = [], []
-    stacked = [0] * n  # packed column j of the accumulator, filled group by group
+    plan_groups, slots, keep_shifts = [], [], []
+    stacked = [0] * n  # column i of S, filled group by group
     shift = 0
-    for t, (indices, support_list) in enumerate(zip(ordered, supports)):
+    for indices in hierarchical_groups(d, poset):
+        support_list = sorted(set().union(*(d.components[i].support() for i in indices)))
         rows = [row for i in indices for row in d.components[i].gen.rows]
         projected = Code(Matrix(field, [[row[i - 1] for i in support_list] for row in rows]))
         table = _build_table(projected, _coordinate_ideals(poset, support_list), budget)
         plan_groups.append(
             PlanGroup(indices=indices, support=tuple(support_list), code=projected, table=table)
         )
-        kept = sorted(set().union(*supports[t:]))
-        kept_images = [outward_columns[i - 1] for i in kept]
         keep_shift = shift + table._kernel.m * out.w
-        # H_g times column j of W on the group's support, and W^-1 P_g W e_j
-        for j, column in enumerate(zip(*inward.rows)):
-            syndrome = _accumulate(
-                table._kernel.add, table._columns, [column[i - 1] for i in support_list]
-            )
-            keep = _accumulate(out.add, kept_images, [column[i - 1] for i in kept])
-            stacked[j] |= syndrome << shift | keep << keep_shift
-        columns = [negated[i - 1] for i in support_list]
-        images = {s: _accumulate(out.add, columns, c) for s, c in table._index.items()}
+        keep_shifts.append(keep_shift)
+        # H_g e_i at this group's syndrome shift, and W^-1 e_i at the keep
+        # shift of this group and of every group below it
+        for i, multiples in zip(support_list, table._columns):
+            image = outward_columns[i - 1][1]
+            stacked[i - 1] |= multiples[1] << shift | sum(image << k for k in keep_shifts)
+        columns = [outward_columns[i - 1] for i in support_list]
+        images = {
+            s: _accumulate(out.add, columns, [-c % p for c in coords])
+            for s, coords in table._index.items()
+        }
         slots.append(_Slots(shift, (1 << (keep_shift - shift)) - 1, keep_shift, images))
         shift = keep_shift + n * out.w
-    kernel = row_kernel(field.p, shift // out.w)
+    kernel = row_kernel(p, shift // out.w)
+    accumulator = tuple(map(kernel.multiples, stacked))
+    if witness is not None:  # column j of S W
+        accumulator = tuple(
+            kernel.multiples(_accumulate(kernel.add, accumulator, w)) for w in zip(*witness.rows)
+        )
     return DecodePlan(
         decomposition=d,
         poset=poset,
@@ -363,7 +360,7 @@ def build_plan(
         to_decomposed=witness,
         from_decomposed=None if witness is None else outward,
         _kernel=kernel,
-        _columns=tuple(map(kernel.multiples, stacked)),
+        _columns=accumulator,
         _slots=tuple(slots),
         _out=out,
     )

@@ -451,8 +451,7 @@ def canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:
     The returned matrix is right-most-pivot reduced; the second value is
     the witness map carrying the input's row space onto the output's.
     """
-    if poset.n != g.n:
-        raise ValueError(f"poset ground set {poset.n} does not match matrix width {g.n}")
+    poset._check_ground_set(g.n, "matrix width")
     state = _Canonicalizer(g, poset)
     if not state.coset_passes():
         state.coset_passes()
@@ -476,8 +475,7 @@ def is_p_canonical(g: Matrix, poset: Poset) -> bool:
     and every column already equals the canonical representative of its
     coset modulo the span of the columns strictly above it.
     """
-    if poset.n != g.n:
-        raise ValueError(f"poset ground set {poset.n} does not match matrix width {g.n}")
+    poset._check_ground_set(g.n, "matrix width")
     if not is_generalized_rref(g):
         return False
     kernel = row_kernel(g.field.p, g.k)

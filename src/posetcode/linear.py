@@ -465,7 +465,6 @@ def min_distance(code: Code, p: Poset, budget: int = DEFAULT_BUDGET) -> int:
     it, so one word per scalar class suffices.  The budget is charged
     all q^k codewords.
     """
-    if p.n != code.n:
-        raise ValueError(f"poset ground set {p.n} does not match code length {code.n}")
+    p._check_ground_set(code.n)
     check_budget("codeword enumeration", code.q**code.k, budget)
     return min(p.ideal_mask(s).bit_count() for s in _word_supports(code))

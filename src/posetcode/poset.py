@@ -152,6 +152,11 @@ class Poset:
         if not 1 <= a <= self._n:
             raise ValueError(f"element {a} is outside the ground set [1, {self._n}]")
 
+    def _check_ground_set(self, n: int, what: str = "code length") -> None:
+        """Reject a code or matrix whose n coordinates are not this ground set."""
+        if self._n != n:
+            raise ValueError(f"poset ground set {self._n} does not match {what} {n}")
+
     def _check_subset(self, elements: Iterable[int]) -> int:
         elements = tuple(elements)
         for a in elements:

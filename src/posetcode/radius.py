@@ -57,8 +57,7 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
     running total of 2^(|M| - 1) over the maxima sets M actually
     scanned, checked before each scan.
     """
-    if poset.n != code.n:
-        raise ValueError(f"poset ground set {poset.n} does not match code length {code.n}")
+    poset._check_ground_set(code.n)
     check_budget("packing radius codeword enumeration", code.q**code.k, budget)
     downs = [poset.ideal_mask(1 << i) for i in range(code.n)]
     queue = sorted(

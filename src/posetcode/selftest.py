@@ -39,11 +39,11 @@ def _field_axioms() -> bool:
     return True
 
 
-def _neighbor_extremality() -> bool:
+def _neighbor_extremality(budget: int) -> bool:
     # upper neighbor: minimal among hierarchical posets above; lower
     # neighbor: the maximum hierarchical poset below
-    hier = list(oracle.enum_hierarchical(3))
-    for poset in oracle.enum_posets(3):
+    hier = list(oracle.enum_hierarchical(3, budget))
+    for poset in oracle.enum_posets(3, budget):
         up = upper_neighbor(poset)
         lo = lower_neighbor(poset)
         if not (up.is_hierarchical() and lo.is_hierarchical()):
@@ -58,32 +58,32 @@ def _neighbor_extremality() -> bool:
     return True
 
 
-def _degree_oracle_agreement(rng: random.Random) -> bool:
+def _degree_oracle_agreement(rng: random.Random, budget: int) -> bool:
     f2 = PrimeField(2)
-    for poset in oracle.enum_posets(3):
+    for poset in oracle.enum_posets(3, budget):
         for k in (1, 2):
             code = random_code(rng, f2, 3, k)
-            if max_degree(code, poset) != oracle.brute_max_degree(code, poset):
+            if max_degree(code, poset) != oracle.brute_max_degree(code, poset, budget):
                 return False
     return True
 
 
-def _isometry_group() -> bool:
+def _isometry_group(budget: int) -> bool:
     f2 = PrimeField(2)
     for poset in (
         Poset.chain(3),
         Poset.antichain(3),
         Poset.from_relations(3, [(1, 3)]),
     ):
-        members = list(oracle.enum_gl_p(poset, 2))
+        members = list(oracle.enum_gl_p(poset, 2, budget))
         strict = len(poset.relations())
-        auts = len(list(oracle.enum_aut(poset)))
+        auts = len(list(oracle.enum_aut(poset, budget)))
         if len({m.matrix for m in members}) != (2 ** strict) * auts:
             return False
         if Matrix.identity(f2, 3) not in {m.matrix for m in members}:
             return False
         for iso in members:
-            if not oracle.is_isometry(iso.matrix, poset):
+            if not oracle.is_isometry(iso.matrix, poset, budget):
                 return False
     return True
 
@@ -97,7 +97,7 @@ def _decoder_optimality(rng: random.Random, budget: int) -> bool:
         poset = random_poset(rng, n)
         table = build_table(code, poset, budget)
         plan = build_plan_for_code(code, poset, budget)
-        words = code.codeword_set()
+        words = code.codeword_set(budget)
         comp_support = sorted(
             set().union(*(c.support() for c in plan.decomposition.components))
         )
@@ -152,7 +152,7 @@ def _radius_brackets(rng: random.Random, budget: int) -> bool:
         if not bounds.lower <= bounds.exact <= bounds.upper:
             return False
         hamming = packing_radius_exact(code, Poset.antichain(n), budget)
-        if hamming != (min_distance(code, Poset.antichain(n)) - 1) // 2:
+        if hamming != (min_distance(code, Poset.antichain(n), budget) - 1) // 2:
             return False
     return True
 
@@ -180,9 +180,9 @@ def run_selftest(seed: int = 0, budget: int = DEFAULT_BUDGET) -> list[tuple[str,
     checks: list[tuple[str, Callable[[], bool]]] = [
         ("field-axioms", _field_axioms),
         ("weight-axioms", lambda: _weight_is_a_weight(rng)),
-        ("neighbor-extremality", _neighbor_extremality),
-        ("degree-oracle-agreement", lambda: _degree_oracle_agreement(rng)),
-        ("isometry-group", _isometry_group),
+        ("neighbor-extremality", lambda: _neighbor_extremality(budget)),
+        ("degree-oracle-agreement", lambda: _degree_oracle_agreement(rng, budget)),
+        ("isometry-group", lambda: _isometry_group(budget)),
         ("decoder-optimality", lambda: _decoder_optimality(rng, budget)),
         ("profile-invariance", lambda: _profile_invariance(rng)),
         ("radius-brackets", lambda: _radius_brackets(rng, budget)),

@@ -6,10 +6,12 @@ from conftest import run_fresh
 from posetcode import cli as cli_module
 from posetcode import decomp as decomp_module
 from posetcode import files
+from posetcode.budget import BudgetExceededError
 from posetcode.cli import main
 from posetcode.decomp import Decomposition, validate_p_decomposition, PDecomposition
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix
+from posetcode.selftest import run_selftest
 
 F2 = PrimeField(2)
 
@@ -255,6 +257,16 @@ class TestCommands:
                      "--code", str(workdir / "g.code")]) == 3
         assert capsys.readouterr().err == "internal error: x\n"
 
+        # an interrupt is click's Abort, a RuntimeError, and exits 1 without
+        # being reported as an internal error
+        def interrupted(code, poset):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("posetcode.decomp.maximal_p_decomposition", interrupted)
+        assert main(["decompose", "--poset", str(workdir / "a.poset"),
+                     "--code", str(workdir / "g.code")]) == 1
+        assert "internal error" not in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, workdir, capsys):
         args = ["decompose", "--poset", str(workdir / "a.poset"),
                 "--code", str(workdir / "g.code"), "--json"]
@@ -270,6 +282,13 @@ def test_selftest_command_passes(capsys):
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+
+
+def test_selftest_budget_reaches_the_oracle_enumerations():
+    # enum_posets(3) needs 2^6 = 64, the first call of the suite over 50
+    with pytest.raises(BudgetExceededError) as err:
+        run_selftest(budget=50)
+    assert err.value.what == "poset enumeration"
 
 
 def test_bench_command(workdir, capsys):

@@ -13,6 +13,7 @@ from conftest import (
     reference_hierarchical_groups,
     reference_leaders,
 )
+from posetcode import oracle
 from posetcode.budget import BudgetExceededError
 from posetcode.decomp import components_from_matrix, maximal_p_decomposition
 from posetcode.decode import (
@@ -179,6 +180,13 @@ class TestGrouping:
         supports = [sorted(d.components[i].support()) for g in groups for i in g]
         assert groups == ((1,), (0,))
         assert supports == [[1], [3, 4]]
+
+    def test_groupings_reject_a_poset_of_another_size(self):
+        d = components_from_matrix(Matrix(F2, [[1, 1, 0, 1], [0, 0, 1, 0]]))
+        for poset in (Poset.chain(3), Poset.chain(6)):
+            for grouping in (hierarchical_groups, independent_groups):
+                with pytest.raises(ValueError, match="does not match code length 4"):
+                    grouping(d, poset)
 
     def test_antichain_many_components_single_group(self):
         d = components_from_matrix(Matrix(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
@@ -374,6 +382,35 @@ class TestDecoding:
                         assert decode_leveled_alg1(pl, y) == reference_decode_alg1(pl, y)
                         assert decode_leveled_alg2(pl, y) == reference_decode_alg2(pl, y)
         assert all(seen.values()), seen
+
+    def test_random_words_decode_as_the_reference_beyond_exhaustive_sizes(self):
+        # n from 9 to 12, too many words to try them all: levels of at
+        # most three coordinates, one component inside each level, moved
+        # off the decomposition by a reducing isometry so the plan
+        # carries a witness
+        rng = random.Random(18)
+        deep = 0  # plans with three or more groups and a witness that moves words
+        for field in (F2, F3, F5):
+            for _ in range(2):
+                n = rng.randint(9, 12)
+                elements, levels = rng.sample(range(1, n + 1), n), []
+                while elements:
+                    levels.append(elements[:rng.choice((2, 3))])
+                    del elements[:len(levels[-1])]
+                p = Poset.hierarchical_from_levels(levels)
+                rows = []
+                for level in levels:
+                    part = rng.sample(level, rng.randint(1, len(level)))
+                    rows.append([rng.randrange(1, field.p) if i + 1 in part else 0
+                                 for i in range(n)])
+                iso = oracle.random_reducing_isometry(p, field.p, rng)
+                plan = build_plan_for_code(Code(iso.apply_to_rows(Matrix(field, rows))), p)
+                deep += len(plan.groups) >= 3 and plan.to_decomposed != Matrix.identity(field, n)
+                for _ in range(200):
+                    y = Vector(field, [rng.randrange(field.p) for _ in range(n)])
+                    assert decode_leveled_alg1(plan, y) == reference_decode_alg1(plan, y)
+                    assert decode_leveled_alg2(plan, y) == reference_decode_alg2(plan, y)
+        assert deep
 
     def test_ordered_scan_keeps_valid_top_and_zeroes_below_error(self):
         # two stacked components, already decomposed (identity witness):
