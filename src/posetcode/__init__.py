@@ -50,7 +50,7 @@ _EXPORTS = {
         "table_sizes",
         "unproject_support",
     ),
-    "field": ("FieldElement", "PrimeField"),
+    "field": ("PrimeField",),
     "linear": (
         "Code",
         "Matrix",

@@ -375,6 +375,8 @@ class _SelftestFailure(Exception):
 @json_option
 def bench(poset, code, trials, seed, budget, as_json):
     """Time table construction and decoding on random received vectors."""
+    if trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {trials}")
     import random as _random
 
     from .decode import (
@@ -436,6 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         click.echo(f"error: {exc}", err=True)
         return 1
     except click.exceptions.Abort:  # a RuntimeError, so it goes first
+        click.echo("error: aborted", err=True)
         return 1
     except (AssertionError, RuntimeError) as exc:
         click.echo(f"internal error: {exc}", err=True)

@@ -244,7 +244,7 @@ def reference_echelon(field: PrimeField, rows: list[list[int]]) -> list[list[int
         if pivot_row is None:
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = field.inv(work[rank][col])
+        inv = pow(work[rank][col], -1, p)
         work[rank] = [c * inv % p for c in work[rank]]
         for r in range(len(work)):
             if r != rank and work[r][col]:
@@ -278,7 +278,7 @@ def reference_coset_reduce(field: PrimeField, col, indexed_cols):
         pivot = next((t for t, a in enumerate(vec) if a), None)
         if pivot is None:
             continue
-        inv = field.inv(vec[pivot])
+        inv = pow(vec[pivot], -1, p)
         vec = [a * inv % p for a in vec]
         combo = {jj: c * inv % p for jj, c in combo.items()}
         for idx, (t, b, bc) in enumerate(basis):
@@ -433,7 +433,7 @@ class ReferenceCanonicalizer:
             pivot = next((t for t, a in enumerate(red) if a), None)
             if pivot is None:
                 return None
-            inv = self.field.inv(red[pivot])
+            inv = pow(red[pivot], -1, p)
             red = tuple(a * inv % p for a in red)
             out = []
             for pv, b in basis:

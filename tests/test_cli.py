@@ -257,15 +257,17 @@ class TestCommands:
                      "--code", str(workdir / "g.code")]) == 3
         assert capsys.readouterr().err == "internal error: x\n"
 
-        # an interrupt is click's Abort, a RuntimeError, and exits 1 without
-        # being reported as an internal error
+        # an interrupt is click's Abort, a RuntimeError, and exits 1 with
+        # `error: aborted`, not reported as an internal error
         def interrupted(code, poset):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("posetcode.decomp.maximal_p_decomposition", interrupted)
         assert main(["decompose", "--poset", str(workdir / "a.poset"),
                      "--code", str(workdir / "g.code")]) == 1
-        assert "internal error" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "error: aborted" in err.splitlines()
 
     def test_byte_identical_reruns(self, workdir, capsys):
         args = ["decompose", "--poset", str(workdir / "a.poset"),
@@ -297,6 +299,8 @@ def test_bench_command(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["trials"] == 20
     assert set(payload["decode_seconds"]) == {"full", "leveled1", "leveled2"}
+    assert main(["bench", "--poset", str(workdir / "a.poset"),
+                 "--code", str(workdir / "g.code"), "--trials", "-5"]) == 1
 
 
 def test_cli_import_leaves_selftest_modules_unloaded():
@@ -337,3 +341,20 @@ print(steps)
         ["posetcode.decomp", "posetcode.decode"],  # table-plan
         ["posetcode.decomp", "posetcode.decode", "posetcode.radius"],  # radius --bounds
     ])
+
+
+def test_validate_loads_no_dataclasses(workdir):
+    # the field module only checks the characteristic, so reading and
+    # checking input files imports no dataclass machinery
+    argv = ["validate", "--poset", str(workdir / "a.poset"), "--code", str(workdir / "g.code")]
+    script = f"""
+import contextlib, io, sys
+import posetcode.cli
+
+steps = ["dataclasses" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert posetcode.cli.main({argv!r}) == 0
+steps.append("dataclasses" in sys.modules)
+print(steps)
+"""
+    assert run_fresh(script).strip() == "[False, False]"
