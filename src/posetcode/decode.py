@@ -6,17 +6,25 @@ A table weighs each enumerated word by the order ideals of its
 coordinates: the weight is the size of the union of those ideals over
 the word's support.
 
-Every syndrome is one packed `RowKernel` int.  A table keeps the p
-multiples of each packed column of its parity matrix, so a word's
-syndrome is one kernel add per nonzero coordinate.  The table build
-lists the words on the first half of the coordinates and on the second
-half, each with its packed syndrome and ideal union, and scans the
-pairs in lexicographic order.  A decode plan's accumulator is one
-matrix product S W: column i of S stacks every group's H_g e_i and
-W^-1 e_i on the decomposed domain, and the witness W is applied once,
-when the plan is built.  A leveled decode is then one pass over the
-received word, a slice per group, one lookup per group that fires, one
-packed subtraction and one output `Vector`.
+Every syndrome is one packed `RowKernel` int.  The table build lists
+the words on the first half of the coordinates and on the second half,
+each with its packed syndrome and ideal union, and scans the pairs in
+lexicographic order.
+
+Every decoder reads a received word through one packed accumulator,
+stored as chunk tables: the coordinates are cut into runs of c, the
+most with p^c <= 256 (8 over GF(2), 5 over GF(3), 1 from GF(17) up),
+and each run maps every residue tuple to its packed image.  The image
+of a word is then one slice, one lookup and one add per run.  A full
+table's accumulator stacks the syndrome H e_j over n keep slots that
+copy e_j; a decode plan's is one matrix product S W, where column i of
+S stacks every group's H_g e_i and W^-1 e_i on the decomposed domain,
+and the witness W is applied once, when the plan is built.  A decode
+is then the chunk lookups, a slice per group, one lookup of a negated
+leader for the group that fires, one packed add, and a table read of
+the result's residues (`RowKernel.residues`) into a `Vector` that is
+not reduced again.  `decode_full` is the single-group case of
+`decode_leveled_alg2`.
 """
 
 from __future__ import annotations
@@ -24,16 +32,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
-from operator import and_, sub
+from operator import and_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import Decomposition, maximal_p_decomposition
+from .field import PrimeField
 from .linear import (
     Code,
     Matrix,
     RowKernel,
     Vector,
+    _chunk_slots,
+    _residue_runs,
+    _residue_vector,
     classical_rref,
     invert_matrix,
     row_kernel,
@@ -57,22 +69,58 @@ def parity_check(code: Code) -> Matrix:
     return Matrix(code.field, rows, n=code.n)
 
 
-def _packed_columns(
-    kernel: RowKernel, rows: Sequence[Sequence[int]], n: int
-) -> tuple[list[int], ...]:
-    """The p multiples of each of the n packed columns of the rows."""
-    return tuple(kernel.multiples(kernel.pack([row[j] for row in rows])) for j in range(n))
+def _packed_columns(kernel: RowKernel, rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The n packed columns of the rows."""
+    return [kernel.pack([row[j] for row in rows]) for j in range(n)]
 
 
-def _accumulate(
-    add: Callable[[int, int], int], columns: Sequence[list[int]], coords: Sequence[int]
-) -> int:
+def _accumulate(kernel: RowKernel, columns: Sequence[int], coords: Sequence[int]) -> int:
     """The packed image of a word: y_j times column j, summed over j."""
+    add, scale = kernel.add, kernel.scale
     acc = 0
     for col, c in zip(columns, coords):
         if c:
-            acc = add(acc, col[c])
+            acc = add(acc, scale(col, c))
     return acc
+
+
+_Chunks = tuple[tuple[slice, Mapping[tuple[int, ...], int]], ...]
+"""A packed linear map read by runs of coordinates: per run, its slice
+of a word and the image of every residue tuple the slice can hold."""
+
+
+def _chunk_tables(kernel: RowKernel, columns: Sequence[int]) -> _Chunks:
+    """The map with the given packed columns, as chunk tables over runs
+    of `_chunk_slots(p)` coordinates."""
+    p, add, c = kernel.p, kernel.add, _chunk_slots(kernel.p)
+    chunks = []
+    for a in range(0, len(columns), c):
+        run = columns[a : a + c]
+        images = [0]  # in the lexicographic order of `_residue_runs`
+        for col in run:
+            multiples = kernel.multiples(col)
+            images = [add(image, multiple) for image in images for multiple in multiples]
+        chunks.append((slice(a, a + c), dict(zip(_residue_runs(p, len(run)), images))))
+    return tuple(chunks)
+
+
+def _lookup(add: Callable[[int, int], int], chunks: _Chunks, coords: tuple[int, ...]) -> int:
+    """The packed image of a word under a map stored as chunk tables."""
+    acc = 0
+    for cut, images in chunks:
+        acc = add(acc, images[coords[cut]])
+    return acc
+
+
+class _Slots(NamedTuple):
+    """Where one group sits in a packed accumulator: the bit shift and
+    mask of its syndrome slots, the bit shift of its n keep slots, and
+    its negated leader images by packed syndrome."""
+
+    syndrome_shift: int
+    syndrome_mask: int
+    keep_shift: int
+    images: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -83,25 +131,25 @@ class SyndromeTable:
     the lexicographic order on coordinate residues, so tables are
     reproducible.
 
-    Decoding reads the packed parity columns and a private index from
-    packed syndrome to leader coordinates, in the order of `leaders`.
+    Decoding reads a private accumulator, stored as chunk tables (see
+    the module docstring): column j holds H e_j in n - k syndrome slots
+    and, above them, e_j in n keep slots.  Its one `_Slots` entry maps
+    each packed syndrome to the negated packed leader, in the order of
+    `leaders`, so a decode adds that to the kept word.
     """
 
     code: Code
     parity: Matrix
     leaders: Mapping[tuple[int, ...], Vector]
     _kernel: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
-    _columns: tuple[list[int], ...] = dataclass_field(repr=False, compare=False, kw_only=True)
-    _index: Mapping[int, tuple[int, ...]] = dataclass_field(
-        repr=False, compare=False, kw_only=True
-    )
-
-    def _packed_syndrome(self, y: Vector) -> int:
-        _check_word(self.code, y)
-        return _accumulate(self._kernel.add, self._columns, y.coords)
+    _columns: _Chunks = dataclass_field(repr=False, compare=False, kw_only=True)
+    _slots: tuple[_Slots] = dataclass_field(repr=False, compare=False, kw_only=True)
+    _out: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
 
     def syndrome(self, y: Vector) -> tuple[int, ...]:
-        return tuple(self._kernel.unpack(self._packed_syndrome(y)))
+        _check_word(self.code, y)
+        s = _lookup(self._kernel.add, self._columns, y.coords) & self._slots[0].syndrome_mask
+        return tuple(self._kernel.unpack(s, 0, self.parity.k))
 
 
 def _check_word(code: Code, y: Vector) -> None:
@@ -114,7 +162,7 @@ def _check_word(code: Code, y: Vector) -> None:
 
 def _half_words(
     add: Callable[[int, int], int],
-    columns: Sequence[list[int]],
+    multiples: Sequence[list[int]],
     ideals: Sequence[int],
     positions: range,
 ) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -122,7 +170,7 @@ def _half_words(
     (packed syndrome, union of the ideals over its support, residues)."""
     words = [(0, 0, ())]
     for j in positions:
-        col, ideal = columns[j], ideals[j]
+        col, ideal = multiples[j], ideals[j]
         words = [
             (add(s, multiple), union | ideal if c else union, coords + (c,))
             for s, union, coords in words
@@ -145,28 +193,37 @@ def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTabl
     q, n, k = code.q, code.n, code.k
     check_budget("syndrome table size", q ** (n - k), budget)
     check_budget("syndrome table enumeration", q**n, budget)
+    p = code.field.p
     parity = parity_check(code)
-    kernel = row_kernel(code.field.p, n - k)
+    kernel = row_kernel(p, n - k)
     add = kernel.add
     columns = _packed_columns(kernel, parity.rows, n)
-    tail = _half_words(add, columns, ideals, range(n // 2, n))
+    multiples = [kernel.multiples(col) for col in columns]
+    tail = _half_words(add, multiples, ideals, range(n // 2, n))
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for head_s, head_union, head in _half_words(add, columns, ideals, range(n // 2)):
+    for head_s, head_union, head in _half_words(add, multiples, ideals, range(n // 2)):
         for tail_s, tail_union, tail_coords in tail:
             s = add(head_s, tail_s)
             w = (head_union | tail_union).bit_count()
             leader = best.get(s)
             if leader is None or w < leader[0]:
                 best[s] = (w, head + tail_coords)
+    out = row_kernel(p, n)
+    keep_shift = (n - k) * out.w
+    accumulator = row_kernel(p, n - k + n)
+    negated = {s: out.pack([-c % p for c in coords]) for s, (w, coords) in best.items()}
     return SyndromeTable(
         code=code,
         parity=parity,
         leaders={
             tuple(kernel.unpack(s)): Vector(code.field, coords) for s, (w, coords) in best.items()
         },
-        _kernel=kernel,
-        _columns=columns,
-        _index={s: coords for s, (w, coords) in best.items()},
+        _kernel=accumulator,
+        _columns=_chunk_tables(
+            accumulator, [col | out.unit(j) << keep_shift for j, col in enumerate(columns)]
+        ),
+        _slots=(_Slots(0, (1 << keep_shift) - 1, keep_shift, negated),),
+        _out=out,
     )
 
 
@@ -182,15 +239,37 @@ def build_table(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) -> Syndr
     return _build_table(code, ideals, budget)
 
 
+def _decoded(field: PrimeField, out: RowKernel, word: int) -> Vector:
+    """The output step of every decoder: the packed decoded word, whose
+    slots are normalized, read into a `Vector` without a second
+    reduction."""
+    return _residue_vector(field, out.residues(word))
+
+
+def _decode_top_down(owner: SyndromeTable | DecodePlan, y: Vector) -> Vector:
+    """The first group t from the top with a nonzero syndrome s gives
+    the keep map of t applied to y plus the negated leader image of s;
+    when no group has one, the keep map of the lowest group."""
+    acc = _lookup(owner._kernel.add, owner._columns, y.coords)
+    out = owner._out
+    for syndrome_shift, syndrome_mask, keep_shift, images in reversed(owner._slots):
+        s = acc >> syndrome_shift & syndrome_mask
+        if s:
+            return _decoded(y.field, out, out.add(acc >> keep_shift & out.coords, images[s]))
+    return _decoded(y.field, out, acc >> owner._slots[0].keep_shift & out.coords)
+
+
 def decode_full(table: SyndromeTable, y: Vector) -> Vector:
     """Subtract the coset leader of y's syndrome; the result is a nearest
-    codeword under the table's weight."""
-    leader = table._index[table._packed_syndrome(y)]
-    return Vector(y.field, map(sub, y.coords, leader))
+    codeword under the table's weight.  The table is one group with its
+    whole word kept, so this is `decode_leveled_alg2`'s step."""
+    _check_word(table.code, y)
+    return _decode_top_down(table, y)
 
 
 def project(code: Code, y: Vector) -> Vector:
     """Coordinates of y on the support of the code, in ascending index order."""
+    _check_word(code, y)
     return project_support(sorted(code.support()), y)
 
 
@@ -251,17 +330,6 @@ class PlanGroup:
     table: SyndromeTable
 
 
-class _Slots(NamedTuple):
-    """Where one group sits in a plan's packed accumulator: the bit shift
-    and mask of its syndrome slots, the bit shift of its n keep-map
-    slots, and its negated leader images by packed syndrome."""
-
-    syndrome_shift: int
-    syndrome_mask: int
-    keep_shift: int
-    images: Mapping[int, int]
-
-
 @dataclass(frozen=True)
 class DecodePlan:
     """Per-group syndrome tables over an ordered, hierarchically related
@@ -275,12 +343,14 @@ class DecodePlan:
     order weight, so distances agree in both domains.
 
     Decoding never applies W or W^-1: `build_plan` folds them into one
-    packed accumulator S W.  Column i of S stacks, group after group
-    from the lowest, H_g e_i when i is in the group's support (the group
+    packed accumulator S W, stored as chunk tables (see the module
+    docstring).  Column i of S stacks, group after group from the
+    lowest, H_g e_i when i is in the group's support (the group
     syndrome) and then W^-1 e_i when i is in the support of g or of a
     group above it (the keep map W^-1 P_g W, once multiplied by W).
     Each group's leaders are stored unprojected, carried out by W^-1 and
-    negated, as packed n-slot rows.
+    negated, as packed n-slot rows of `_out`, whose residue table reads
+    the decoded word.
     """
 
     decomposition: Decomposition
@@ -290,7 +360,7 @@ class DecodePlan:
     to_decomposed: Matrix | None = None
     from_decomposed: Matrix | None = None
     _kernel: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
-    _columns: tuple[list[int], ...] = dataclass_field(repr=False, compare=False, kw_only=True)
+    _columns: _Chunks = dataclass_field(repr=False, compare=False, kw_only=True)
     _slots: tuple[_Slots, ...] = dataclass_field(repr=False, compare=False, kw_only=True)
     _out: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
 
@@ -319,7 +389,7 @@ def build_plan(
     field, n, p = d.code.field, d.code.n, d.code.field.p
     out = row_kernel(p, n)
     outward = Matrix.identity(field, n) if witness is None else invert_matrix(witness)
-    # the p multiples of column i of W^-1, the image of e_i
+    # column i of W^-1, the image of e_i
     outward_columns = _packed_columns(out, outward.rows, n)
     plan_groups, slots, keep_shifts = [], [], []
     stacked = [0] * n  # column i of S, filled group by group
@@ -332,26 +402,25 @@ def build_plan(
         plan_groups.append(
             PlanGroup(indices=indices, support=tuple(support_list), code=projected, table=table)
         )
-        keep_shift = shift + table._kernel.m * out.w
+        syndromes = row_kernel(p, table.parity.k)
+        keep_shift = shift + syndromes.m * out.w
         keep_shifts.append(keep_shift)
         # H_g e_i at this group's syndrome shift, and W^-1 e_i at the keep
         # shift of this group and of every group below it
-        for i, multiples in zip(support_list, table._columns):
-            image = outward_columns[i - 1][1]
-            stacked[i - 1] |= multiples[1] << shift | sum(image << k for k in keep_shifts)
+        parity_columns = _packed_columns(syndromes, table.parity.rows, len(support_list))
+        for i, column in zip(support_list, parity_columns):
+            image = outward_columns[i - 1]
+            stacked[i - 1] |= column << shift | sum(image << k for k in keep_shifts)
         columns = [outward_columns[i - 1] for i in support_list]
         images = {
-            s: _accumulate(out.add, columns, [-c % p for c in coords])
-            for s, coords in table._index.items()
+            syndromes.pack(s): _accumulate(out, columns, [-c % p for c in leader.coords])
+            for s, leader in table.leaders.items()
         }
         slots.append(_Slots(shift, (1 << (keep_shift - shift)) - 1, keep_shift, images))
         shift = keep_shift + n * out.w
     kernel = row_kernel(p, shift // out.w)
-    accumulator = tuple(map(kernel.multiples, stacked))
     if witness is not None:  # column j of S W
-        accumulator = tuple(
-            kernel.multiples(_accumulate(kernel.add, accumulator, w)) for w in zip(*witness.rows)
-        )
+        stacked = [_accumulate(kernel, stacked, w) for w in zip(*witness.rows)]
     return DecodePlan(
         decomposition=d,
         poset=poset,
@@ -360,7 +429,7 @@ def build_plan(
         to_decomposed=witness,
         from_decomposed=None if witness is None else outward,
         _kernel=kernel,
-        _columns=accumulator,
+        _columns=_chunk_tables(kernel, stacked),
         _slots=tuple(slots),
         _out=out,
     )
@@ -384,14 +453,14 @@ def decode_leveled_alg1(plan: DecodePlan, y: Vector) -> Vector:
     maps this is M_0 y minus the leader image of every group's syndrome.
     """
     _check_word(plan.decomposition.code, y)
-    acc = _accumulate(plan._kernel.add, plan._columns, y.coords)
+    acc = _lookup(plan._kernel.add, plan._columns, y.coords)
     out = plan._out
     word = acc >> plan._slots[0].keep_shift & out.coords
     for syndrome_shift, syndrome_mask, _, images in plan._slots:
         s = acc >> syndrome_shift & syndrome_mask
         if s:
             word = out.add(word, images[s])
-    return Vector(y.field, out.unpack(word))
+    return _decoded(y.field, out, word)
 
 
 def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
@@ -404,13 +473,7 @@ def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
     group has one, the result is M_0 y.
     """
     _check_word(plan.decomposition.code, y)
-    acc = _accumulate(plan._kernel.add, plan._columns, y.coords)
-    out = plan._out
-    for syndrome_shift, syndrome_mask, keep_shift, images in reversed(plan._slots):
-        s = acc >> syndrome_shift & syndrome_mask
-        if s:
-            return Vector(y.field, out.unpack(out.add(acc >> keep_shift & out.coords, images[s])))
-    return Vector(y.field, out.unpack(acc >> plan._slots[0].keep_shift & out.coords))
+    return _decode_top_down(plan, y)
 
 
 def table_sizes(plan: DecodePlan) -> dict[str, int]:

@@ -12,6 +12,9 @@ row against a reduced echelon basis and extends a basis by one row;
 rank, both echelon forms, inversion and code membership, as well as the
 canonical form, all go through it: there each packed int holds one
 column of the generator, with the matching witness row in tag slots.
+The decoders read their packed output back as a residue tuple, one
+table lookup per run of slots (`RowKernel.residues`), into a `Vector`
+that is not reduced again (`_residue_vector`).
 """
 
 from __future__ import annotations
@@ -84,6 +87,18 @@ class Vector:
         return _nonzero_mask(self.coords)
 
 
+_set_field, _set_coords = Vector.field.__set__, Vector.coords.__set__
+
+
+def _residue_vector(field: PrimeField, coords: tuple[int, ...]) -> Vector:
+    """A Vector of residues already in [0, p), kept as given; the public
+    constructor would reduce every one of them mod p again."""
+    v = object.__new__(Vector)
+    _set_field(v, field)
+    _set_coords(v, coords)
+    return v
+
+
 def support(v: Vector) -> frozenset[int]:
     """1-indexed positions of the nonzero coordinates."""
     return _mask_to_set(v.support_mask())
@@ -103,6 +118,28 @@ def p_distance(u: Vector, v: Vector, p: Poset) -> int:
 
 # -- packed rows ------------------------------------------------------------
 
+def _chunk_slots(p: int) -> int:
+    """The most residues c with p^c <= 256, and at least 1: the length of
+    the runs that one table lookup reads or writes."""
+    c = 1
+    while p ** (c + 1) <= 256:
+        c += 1
+    return c
+
+
+@functools.lru_cache(maxsize=256)
+def _residue_runs(p: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Every tuple of `length` residues mod p, in lexicographic order."""
+    return tuple(itertools.product(range(p), repeat=length))
+
+
+@functools.lru_cache(maxsize=256)
+def _residue_table(p: int, w: int, length: int) -> dict[int, tuple[int, ...]]:
+    """Every run of `length` residues mod p, packed in slots of w bits,
+    mapped to its tuple."""
+    return {sum(c << (i * w) for i, c in enumerate(run)): run for run in _residue_runs(p, length)}
+
+
 Basis = tuple[tuple[int, int], ...]
 """A reduced echelon basis of packed rows: (shift, row) pairs sorted by
 shift.  Each row's pivot, its lowest nonzero coordinate slot, starts at
@@ -118,7 +155,8 @@ class RowKernel:
     and subtracts p from every slot whose sum reached p, which it finds
     by adding 2^(w-1) - p to every slot and reading the guard bits.  No
     carry crosses a slot.  Choosing w and the addition is the only place
-    p = 2 differs; everything else is one code path.
+    p = 2 differs; everything else is one code path.  Every slot of a
+    sum is normalized: below p, guard bit clear.
 
     A row may carry `tags` further slots after its m coordinates.  They
     take part in every addition, so they can record which combination
@@ -126,7 +164,7 @@ class RowKernel:
     masks the m coordinate slots.
     """
 
-    __slots__ = ("p", "m", "w", "slot", "add", "coords", "_fill", "_top")
+    __slots__ = ("p", "m", "w", "slot", "add", "coords", "_fill", "_top", "_reads")
 
     def __init__(self, p: int, m: int, tags: int = 0):
         self.p, self.m = p, m
@@ -164,6 +202,27 @@ class RowKernel:
         w, slot = self.w, self.slot
         stop = self.m if stop is None else stop
         return [row >> shift & slot for shift in range(start * w, stop * w, w)]
+
+    def residues(self, row: int) -> tuple[int, ...]:
+        """The m coordinates of a row whose slots are normalized and whose
+        tag slots are zero, as a tuple: one table read per run of c
+        slots, with c as in `_chunk_slots`.
+
+        The (shift, mask, table) of each run are set on the first read,
+        so kernels that never read residues build no tables.
+        """
+        try:
+            reads = self._reads
+        except AttributeError:
+            p, w, m, c = self.p, self.w, self.m, _chunk_slots(self.p)
+            reads = self._reads = tuple(
+                (a * w, (1 << (w * min(c, m - a))) - 1, _residue_table(p, w, min(c, m - a)))
+                for a in range(0, m, c)
+            )
+        out = ()
+        for shift, mask, table in reads:
+            out += table[row >> shift & mask]
+        return out
 
     def unit(self, i: int) -> int:
         """The row with 1 in slot i and 0 elsewhere."""

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from conftest import (
+    _reference_syndrome,
     all_vectors,
     brute_nearest_distance,
     brute_weight,
@@ -40,6 +42,24 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+F17 = PrimeField(17)
+
+
+@functools.cache
+def _chunk_boundary_instances():
+    """(code, order, full table, plan with a witness, plan without) for
+    word lengths that fill several chunk runs and end in a partial one:
+    runs are 8 long over GF(2), 5 over GF(3), 3 over GF(5), 2 over
+    GF(7) and 1 over GF(17)."""
+    rng = random.Random(20)
+    instances = []
+    for field, n in ((F2, 9), (F2, 10), (F2, 11), (F2, 12), (F3, 6), (F3, 7), (F5, 4), (F7, 3),
+                     (F17, 3)):
+        code = random_code(rng, field, n, rng.randint(1, n - 1))
+        p = random_hierarchical_poset(rng, n)
+        bare = build_plan(maximal_p_decomposition(code, p).decomposition, p)
+        instances.append((code, p, build_table(code, p), build_plan_for_code(code, p), bare))
+    return instances
 
 
 class TestParityCheck:
@@ -143,6 +163,15 @@ class TestProjection:
         code = Code.from_rows(F2, [[1, 0, 0, 1]])
         y = Vector(F2, [1, 1, 0, 1])
         assert project(code, y).coords == (1, 1)
+
+    def test_project_rejects_words_of_another_field_or_length(self):
+        code = Code.from_rows(F2, [[1, 0, 1, 0]])
+        with pytest.raises(ValueError, match="vector length 6 does not match code length 4"):
+            project(code, Vector(F2, [1] * 6))
+        with pytest.raises(ValueError, match="vector length 2 does not match code length 4"):
+            project(code, Vector(F2, [1, 1]))
+        with pytest.raises(ValueError, match="field mismatch"):
+            project(code, Vector(F3, [1, 2, 0, 1]))
 
     def test_round_trip(self):
         support = [2, 5]
@@ -411,6 +440,42 @@ class TestDecoding:
                     assert decode_leveled_alg1(plan, y) == reference_decode_alg1(plan, y)
                     assert decode_leveled_alg2(plan, y) == reference_decode_alg2(plan, y)
         assert deep
+
+    def test_every_word_decodes_as_the_reference_across_chunk_boundaries(self):
+        # all q^n words, all three decoders, with and without a witness;
+        # the syndrome read by the table is the literal H y
+        moved = 0  # plans whose witness is not the identity
+        for code, p, table, plan, bare in _chunk_boundary_instances():
+            moved += plan.to_decomposed != Matrix.identity(code.field, code.n)
+            assert bare.to_decomposed is None
+            for y in all_vectors(code.field, code.n):
+                assert table.syndrome(y) == _reference_syndrome(table.parity, y)
+                assert decode_full(table, y) == reference_decode_full(table, y)
+                for pl in (plan, bare):
+                    assert decode_leveled_alg1(pl, y) == reference_decode_alg1(pl, y)
+                    assert decode_leveled_alg2(pl, y) == reference_decode_alg2(pl, y)
+        assert moved
+
+    def test_decoded_words_are_reduced_immutable_vectors(self):
+        for code, p, table, plan, bare in _chunk_boundary_instances():
+            field = code.field
+            decoders = (
+                functools.partial(decode_full, table),
+                functools.partial(decode_leveled_alg1, plan),
+                functools.partial(decode_leveled_alg2, plan),
+                functools.partial(decode_leveled_alg1, bare),
+                functools.partial(decode_leveled_alg2, bare),
+            )
+            for y in all_vectors(field, code.n):
+                for decode in decoders:
+                    out = decode(y)
+                    assert type(out) is Vector and out.field == field
+                    assert type(out.coords) is tuple and len(out.coords) == code.n
+                    assert all(type(c) is int and 0 <= c < field.p for c in out.coords)
+                    literal = Vector(field, out.coords)
+                    assert out == literal and hash(out) == hash(literal)
+                    with pytest.raises(AttributeError):
+                        out.coords = ()
 
     def test_ordered_scan_keeps_valid_top_and_zeroes_below_error(self):
         # two stacked components, already decomposed (identity witness):

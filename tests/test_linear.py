@@ -19,6 +19,7 @@ from posetcode.linear import (
     min_distance,
     p_distance,
     p_weight,
+    row_kernel,
     row_reduce_inverse,
     support,
 )
@@ -353,6 +354,24 @@ def test_kernel_extend_builds_the_classical_rref(p, data):
         assert list(classical_rref(g)[1]) == [shift // kernel.w for shift, _ in basis]
     for row in rows:
         assert kernel.reduce(kernel.pack(row), basis) == 0
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 17))
+def test_kernel_residues_read_normalized_rows_as_unpack_does(p):
+    # every row while p^m <= 4096; past that, seeded random rows, the
+    # zero and all-(p - 1) rows, and kernel sums of neighbouring rows
+    rng = random.Random(p)
+    for m in range(1, 18):
+        kernel = row_kernel(p, m)
+        if p**m <= 4096:
+            rows = [kernel.pack(c) for c in itertools.product(range(p), repeat=m)]
+        else:
+            rows = [kernel.pack([rng.randrange(p) for _ in range(m)]) for _ in range(300)]
+            rows += [0, kernel.pack([p - 1] * m)]
+            rows += [kernel.add(a, b) for a, b in zip(rows, rows[1:])]
+        for row in rows:
+            read = kernel.residues(row)
+            assert type(read) is tuple and read == tuple(kernel.unpack(row))
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
