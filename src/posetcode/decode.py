@@ -6,31 +6,32 @@ A table weighs each enumerated word by the order ideals of its
 coordinates: the weight is the size of the union of those ideals over
 the word's support.
 
-Every syndrome is one packed `RowKernel` int.  The table build lists
+Every syndrome is one packed `RowKernel` int.  The leader scan lists
 the words on the first half of the coordinates and on the second half,
 each with its packed syndrome and ideal union, and scans the pairs in
-lexicographic order.
+lexicographic order.  It keeps the leaders and nothing else.
 
 Every decoder reads a received word through one packed accumulator,
+built by `_build_decoder` from groups of (support, leader table) given
+lowest first and the witness W.  Column i of the accumulator S stacks
+every group's H_g e_i and W^-1 e_i on the decomposed domain, and W is
+applied once, when it is built.  A full table is the one-group case:
+its group covers all n coordinates and there is no witness, so S
+stacks H e_j over n keep slots that copy e_j.  The accumulator is
 stored as chunk tables: the coordinates are cut into runs of c, the
 most with p^c <= 256 (8 over GF(2), 5 over GF(3), 1 from GF(17) up),
-and each run maps every residue tuple to its packed image.  The image
-of a word is then one slice, one lookup and one add per run.  A full
-table's accumulator stacks the syndrome H e_j over n keep slots that
-copy e_j; a decode plan's is one matrix product S W, where column i of
-S stacks every group's H_g e_i and W^-1 e_i on the decomposed domain,
-and the witness W is applied once, when the plan is built.  A decode
-is then the chunk lookups, a slice per group, one lookup of a negated
-leader for the group that fires, one packed add, and a table read of
-the result's residues (`RowKernel.residues`) into a `Vector` that is
-not reduced again.  `decode_full` is the single-group case of
-`decode_leveled_alg2`.
+and each run maps every residue tuple to its packed image.  A decode
+is then one slice, one lookup and one add per run, a slice per group,
+one lookup of a negated leader for the group that fires, one packed
+add, and a table read of the result's residues (`RowKernel.residues`)
+into a `Vector` that is not reduced again.  `decode_full` is the
+single-group case of `decode_leveled_alg2`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import reduce
 from operator import and_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -123,6 +124,17 @@ class _Slots(NamedTuple):
     images: Mapping[int, int]
 
 
+class _Decoder(NamedTuple):
+    """A packed accumulator, read by `add` from its chunk tables; the
+    `_Slots` of its groups, lowest first; and the kernel of the decoded
+    word."""
+
+    add: Callable[[int, int], int]
+    chunks: _Chunks
+    slots: tuple[_Slots, ...]
+    out: RowKernel
+
+
 @dataclass(frozen=True)
 class SyndromeTable:
     """Coset leaders keyed by syndrome.
@@ -131,25 +143,25 @@ class SyndromeTable:
     the lexicographic order on coordinate residues, so tables are
     reproducible.
 
-    Decoding reads a private accumulator, stored as chunk tables (see
-    the module docstring): column j holds H e_j in n - k syndrome slots
-    and, above them, e_j in n keep slots.  Its one `_Slots` entry maps
-    each packed syndrome to the negated packed leader, in the order of
-    `leaders`, so a decode adds that to the kept word.
+    A table from `build_table` decodes through a private `_Decoder`,
+    the one-group accumulator of the module docstring, whose `_Slots`
+    entry maps each packed syndrome to the negated packed leader, in
+    the order of `leaders`.  A plan's group tables keep the leaders
+    only and decode through their plan.
     """
 
     code: Code
     parity: Matrix
     leaders: Mapping[tuple[int, ...], Vector]
-    _kernel: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
-    _columns: _Chunks = dataclass_field(repr=False, compare=False, kw_only=True)
-    _slots: tuple[_Slots] = dataclass_field(repr=False, compare=False, kw_only=True)
-    _out: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
+    _decoder: _Decoder | None = dataclass_field(
+        default=None, repr=False, compare=False, kw_only=True
+    )
 
     def syndrome(self, y: Vector) -> tuple[int, ...]:
         _check_word(self.code, y)
-        s = _lookup(self._kernel.add, self._columns, y.coords) & self._slots[0].syndrome_mask
-        return tuple(self._kernel.unpack(s, 0, self.parity.k))
+        kernel = row_kernel(self.code.field.p, self.parity.k)
+        columns = _packed_columns(kernel, self.parity.rows, self.code.n)
+        return tuple(kernel.unpack(_accumulate(kernel, columns, y.coords)))
 
 
 def _check_word(code: Code, y: Vector) -> None:
@@ -188,17 +200,15 @@ def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTabl
     pairs of a head word on the first n // 2 coordinates and a tail
     word on the rest, scanned head-major: that is lexicographic order,
     so a leader is replaced only by a strictly lighter word that comes
-    later in it.
+    later in it.  The table has no decoder.
     """
     q, n, k = code.q, code.n, code.k
     check_budget("syndrome table size", q ** (n - k), budget)
     check_budget("syndrome table enumeration", q**n, budget)
-    p = code.field.p
     parity = parity_check(code)
-    kernel = row_kernel(p, n - k)
+    kernel = row_kernel(code.field.p, n - k)
     add = kernel.add
-    columns = _packed_columns(kernel, parity.rows, n)
-    multiples = [kernel.multiples(col) for col in columns]
+    multiples = [kernel.multiples(col) for col in _packed_columns(kernel, parity.rows, n)]
     tail = _half_words(add, multiples, ideals, range(n // 2, n))
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
     for head_s, head_union, head in _half_words(add, multiples, ideals, range(n // 2)):
@@ -208,23 +218,54 @@ def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTabl
             leader = best.get(s)
             if leader is None or w < leader[0]:
                 best[s] = (w, head + tail_coords)
-    out = row_kernel(p, n)
-    keep_shift = (n - k) * out.w
-    accumulator = row_kernel(p, n - k + n)
-    negated = {s: out.pack([-c % p for c in coords]) for s, (w, coords) in best.items()}
     return SyndromeTable(
-        code=code,
-        parity=parity,
-        leaders={
-            tuple(kernel.unpack(s)): Vector(code.field, coords) for s, (w, coords) in best.items()
-        },
-        _kernel=accumulator,
-        _columns=_chunk_tables(
-            accumulator, [col | out.unit(j) << keep_shift for j, col in enumerate(columns)]
-        ),
-        _slots=(_Slots(0, (1 << keep_shift) - 1, keep_shift, negated),),
-        _out=out,
+        code, parity, {tuple(kernel.unpack(s)): Vector(code.field, c) for s, (_, c) in best.items()}
     )
+
+
+def _build_decoder(
+    groups: Sequence[tuple[Sequence[int], SyndromeTable]],
+    outward: Matrix,
+    witness: Matrix | None,
+) -> _Decoder:
+    """The packed accumulator S W of the groups, given lowest first as
+    (1-indexed support, leader table) pairs, with W^-1 = `outward`.
+
+    Column i of S stacks, group after group, H_g e_i when i is in the
+    group's support (the group syndrome) and then W^-1 e_i when i is in
+    the support of g or of a group above it (the keep map W^-1 P_g W,
+    once multiplied by W).  Each group's leaders are stored
+    unprojected, carried out by W^-1 and negated, as packed n-slot rows
+    of the output kernel, whose residue table reads the decoded word.
+    """
+    n, p = outward.n, outward.field.p
+    out = row_kernel(p, n)
+    # column i of W^-1, the image of e_i
+    outward_columns = _packed_columns(out, outward.rows, n)
+    slots, keep_shifts = [], []
+    stacked = [0] * n  # column i of S, filled group by group
+    shift = 0
+    for support, table in groups:
+        syndromes = row_kernel(p, table.parity.k)
+        keep_shift = shift + syndromes.m * out.w
+        keep_shifts.append(keep_shift)
+        # H_g e_i at this group's syndrome shift, and W^-1 e_i at the keep
+        # shift of this group and of every group below it
+        parity_columns = _packed_columns(syndromes, table.parity.rows, len(support))
+        for i, column in zip(support, parity_columns):
+            image = outward_columns[i - 1]
+            stacked[i - 1] |= column << shift | sum(image << k for k in keep_shifts)
+        columns = [outward_columns[i - 1] for i in support]
+        images = {
+            syndromes.pack(s): _accumulate(out, columns, [-c % p for c in leader.coords])
+            for s, leader in table.leaders.items()
+        }
+        slots.append(_Slots(shift, (1 << (keep_shift - shift)) - 1, keep_shift, images))
+        shift = keep_shift + n * out.w
+    kernel = row_kernel(p, shift // out.w)
+    if witness is not None:  # column j of S W
+        stacked = [_accumulate(kernel, stacked, w) for w in zip(*witness.rows)]
+    return _Decoder(kernel.add, _chunk_tables(kernel, stacked), tuple(slots), out)
 
 
 def _coordinate_ideals(poset: Poset, coordinates: Iterable[int]) -> list[int]:
@@ -235,8 +276,10 @@ def _coordinate_ideals(poset: Poset, coordinates: Iterable[int]) -> list[int]:
 def build_table(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) -> SyndromeTable:
     """Complete coset-leader table for the code under the order weight."""
     poset._check_ground_set(code.n)
-    ideals = _coordinate_ideals(poset, range(1, code.n + 1))
-    return _build_table(code, ideals, budget)
+    coordinates = range(1, code.n + 1)
+    table = _build_table(code, _coordinate_ideals(poset, coordinates), budget)
+    decoder = _build_decoder(((coordinates, table),), Matrix.identity(code.field, code.n), None)
+    return replace(table, _decoder=decoder)
 
 
 def _decoded(field: PrimeField, out: RowKernel, word: int) -> Vector:
@@ -246,25 +289,28 @@ def _decoded(field: PrimeField, out: RowKernel, word: int) -> Vector:
     return _residue_vector(field, out.residues(word))
 
 
-def _decode_top_down(owner: SyndromeTable | DecodePlan, y: Vector) -> Vector:
+def _decode_top_down(decoder: _Decoder, y: Vector) -> Vector:
     """The first group t from the top with a nonzero syndrome s gives
     the keep map of t applied to y plus the negated leader image of s;
     when no group has one, the keep map of the lowest group."""
-    acc = _lookup(owner._kernel.add, owner._columns, y.coords)
-    out = owner._out
-    for syndrome_shift, syndrome_mask, keep_shift, images in reversed(owner._slots):
+    add, chunks, slots, out = decoder
+    acc = _lookup(add, chunks, y.coords)
+    for syndrome_shift, syndrome_mask, keep_shift, images in reversed(slots):
         s = acc >> syndrome_shift & syndrome_mask
         if s:
             return _decoded(y.field, out, out.add(acc >> keep_shift & out.coords, images[s]))
-    return _decoded(y.field, out, acc >> owner._slots[0].keep_shift & out.coords)
+    return _decoded(y.field, out, acc >> slots[0].keep_shift & out.coords)
 
 
 def decode_full(table: SyndromeTable, y: Vector) -> Vector:
     """Subtract the coset leader of y's syndrome; the result is a nearest
     codeword under the table's weight.  The table is one group with its
     whole word kept, so this is `decode_leveled_alg2`'s step."""
+    decoder = table._decoder
+    if decoder is None:
+        raise ValueError("a plan's group table decodes through its plan")
     _check_word(table.code, y)
-    return _decode_top_down(table, y)
+    return _decode_top_down(decoder, y)
 
 
 def project(code: Code, y: Vector) -> Vector:
@@ -279,6 +325,10 @@ def project_support(support: list[int], y: Vector) -> Vector:
 
 def unproject_support(support: list[int], n: int, v: Vector) -> Vector:
     """Place v's coordinates at the given positions, zeros elsewhere."""
+    if len(support) != len(v):
+        raise ValueError(f"{len(support)} positions for a word of length {len(v)}")
+    if not all(1 <= pos <= n for pos in support):
+        raise ValueError(f"positions {list(support)} do not all lie in 1..{n}")
     coords = [0] * n
     for pos, c in zip(support, v.coords):
         coords[pos - 1] = c
@@ -322,7 +372,8 @@ def hierarchical_groups(d: Decomposition, poset: Poset) -> tuple[tuple[int, ...]
 
 @dataclass(frozen=True)
 class PlanGroup:
-    """One ordered group of components with its projected code and table."""
+    """One ordered group of components with its projected code and its
+    leader table, which decodes through the plan."""
 
     indices: tuple[int, ...]
     support: tuple[int, ...]
@@ -342,15 +393,9 @@ class DecodePlan:
     plans decoding the decomposition's own code.  The maps preserve the
     order weight, so distances agree in both domains.
 
-    Decoding never applies W or W^-1: `build_plan` folds them into one
-    packed accumulator S W, stored as chunk tables (see the module
-    docstring).  Column i of S stacks, group after group from the
-    lowest, H_g e_i when i is in the group's support (the group
-    syndrome) and then W^-1 e_i when i is in the support of g or of a
-    group above it (the keep map W^-1 P_g W, once multiplied by W).
-    Each group's leaders are stored unprojected, carried out by W^-1 and
-    negated, as packed n-slot rows of `_out`, whose residue table reads
-    the decoded word.
+    Decoding never applies W or W^-1: the plan's private `_Decoder` is
+    the accumulator S W of every group, lowest first (`_build_decoder`),
+    so that decoding needs no per-word projection or change of domain.
     """
 
     decomposition: Decomposition
@@ -359,10 +404,7 @@ class DecodePlan:
     groups: tuple[PlanGroup, ...]
     to_decomposed: Matrix | None = None
     from_decomposed: Matrix | None = None
-    _kernel: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
-    _columns: _Chunks = dataclass_field(repr=False, compare=False, kw_only=True)
-    _slots: tuple[_Slots, ...] = dataclass_field(repr=False, compare=False, kw_only=True)
-    _out: RowKernel = dataclass_field(repr=False, compare=False, kw_only=True)
+    _decoder: _Decoder = dataclass_field(repr=False, compare=False, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -375,52 +417,28 @@ def build_plan(
     budget: int = DEFAULT_BUDGET,
     witness: Matrix | None = None,
 ) -> DecodePlan:
-    """Group the components hierarchically and build one table per group.
+    """Group the components hierarchically and scan one leader table per
+    group, then build the plan's one accumulator.
 
-    Group tables decode in the projected coordinates; a leader's weight
+    Group tables live in the projected coordinates; a leader's weight
     is that of its pull-back to the full space with zeros on the
     dropped coordinates.  `witness`, when given, is the weight-
     preserving map carrying the code to be decoded onto the
-    decomposition's code.  The plan also gets its packed accumulator
-    (see `DecodePlan`), so that decoding needs no per-word projection
-    or change of domain.
+    decomposition's code: an invertible n x n matrix over the code's
+    field.
     """
     poset._check_ground_set(d.code.n)
-    field, n, p = d.code.field, d.code.n, d.code.field.p
-    out = row_kernel(p, n)
+    field, n = d.code.field, d.code.n
+    if witness is not None and (witness.field != field or witness.k != n or witness.n != n):
+        raise ValueError(f"witness must be a {n} x {n} matrix over {field}")
     outward = Matrix.identity(field, n) if witness is None else invert_matrix(witness)
-    # column i of W^-1, the image of e_i
-    outward_columns = _packed_columns(out, outward.rows, n)
-    plan_groups, slots, keep_shifts = [], [], []
-    stacked = [0] * n  # column i of S, filled group by group
-    shift = 0
+    plan_groups = []
     for indices in hierarchical_groups(d, poset):
-        support_list = sorted(set().union(*(d.components[i].support() for i in indices)))
+        support = tuple(sorted(set().union(*(d.components[i].support() for i in indices))))
         rows = [row for i in indices for row in d.components[i].gen.rows]
-        projected = Code(Matrix(field, [[row[i - 1] for i in support_list] for row in rows]))
-        table = _build_table(projected, _coordinate_ideals(poset, support_list), budget)
-        plan_groups.append(
-            PlanGroup(indices=indices, support=tuple(support_list), code=projected, table=table)
-        )
-        syndromes = row_kernel(p, table.parity.k)
-        keep_shift = shift + syndromes.m * out.w
-        keep_shifts.append(keep_shift)
-        # H_g e_i at this group's syndrome shift, and W^-1 e_i at the keep
-        # shift of this group and of every group below it
-        parity_columns = _packed_columns(syndromes, table.parity.rows, len(support_list))
-        for i, column in zip(support_list, parity_columns):
-            image = outward_columns[i - 1]
-            stacked[i - 1] |= column << shift | sum(image << k for k in keep_shifts)
-        columns = [outward_columns[i - 1] for i in support_list]
-        images = {
-            syndromes.pack(s): _accumulate(out, columns, [-c % p for c in leader.coords])
-            for s, leader in table.leaders.items()
-        }
-        slots.append(_Slots(shift, (1 << (keep_shift - shift)) - 1, keep_shift, images))
-        shift = keep_shift + n * out.w
-    kernel = row_kernel(p, shift // out.w)
-    if witness is not None:  # column j of S W
-        stacked = [_accumulate(kernel, stacked, w) for w in zip(*witness.rows)]
+        projected = Code(Matrix(field, [[row[i - 1] for i in support] for row in rows]))
+        table = _build_table(projected, _coordinate_ideals(poset, support), budget)
+        plan_groups.append(PlanGroup(indices=indices, support=support, code=projected, table=table))
     return DecodePlan(
         decomposition=d,
         poset=poset,
@@ -428,10 +446,7 @@ def build_plan(
         groups=tuple(plan_groups),
         to_decomposed=witness,
         from_decomposed=None if witness is None else outward,
-        _kernel=kernel,
-        _columns=_chunk_tables(kernel, stacked),
-        _slots=tuple(slots),
-        _out=out,
+        _decoder=_build_decoder([(g.support, g.table) for g in plan_groups], outward, witness),
     )
 
 
@@ -453,10 +468,10 @@ def decode_leveled_alg1(plan: DecodePlan, y: Vector) -> Vector:
     maps this is M_0 y minus the leader image of every group's syndrome.
     """
     _check_word(plan.decomposition.code, y)
-    acc = _lookup(plan._kernel.add, plan._columns, y.coords)
-    out = plan._out
-    word = acc >> plan._slots[0].keep_shift & out.coords
-    for syndrome_shift, syndrome_mask, _, images in plan._slots:
+    add, chunks, slots, out = plan._decoder
+    acc = _lookup(add, chunks, y.coords)
+    word = acc >> slots[0].keep_shift & out.coords
+    for syndrome_shift, syndrome_mask, _, images in slots:
         s = acc >> syndrome_shift & syndrome_mask
         if s:
             word = out.add(word, images[s])
@@ -473,7 +488,7 @@ def decode_leveled_alg2(plan: DecodePlan, y: Vector) -> Vector:
     group has one, the result is M_0 y.
     """
     _check_word(plan.decomposition.code, y)
-    return _decode_top_down(plan, y)
+    return _decode_top_down(plan._decoder, y)
 
 
 def table_sizes(plan: DecodePlan) -> dict[str, int]:

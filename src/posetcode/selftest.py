@@ -1,7 +1,9 @@
 """Oracle-agreement suite behind the `selftest` command.
 
 Each property pits a library routine against an independent brute-force
-computation at tiny sizes and reports pass/fail.
+computation at tiny sizes and reports pass/fail.  `field-axioms` runs
+over GF(2), GF(3) and GF(5), and `decoder-optimality` over GF(2) and
+GF(3); every other property draws over GF(2) only.
 """
 
 from __future__ import annotations
@@ -92,11 +94,14 @@ def _isometry_group(budget: int) -> bool:
 
 
 def _decoder_optimality(rng: random.Random, budget: int) -> bool:
-    f2 = PrimeField(2)
-    for _ in range(4):
-        n = rng.randint(3, 6)
-        k = rng.randint(1, min(3, n))
-        code = random_code(rng, f2, n, k)
+    # every decoded word is a codeword at the least distance; GF(3)
+    # shows a leader added where it should be subtracted, so its codes
+    # are drawn with k < n and have nonzero syndromes
+    f2, f3 = PrimeField(2), PrimeField(3)
+    for field, max_n, max_k in ((f2, 6, 3),) * 4 + ((f3, 4, 2),) * 2:
+        n = rng.randint(3, max_n)
+        k = rng.randint(1, min(max_k, n))
+        code = random_code(rng, field, n, k)
         poset = random_poset(rng, n)
         table = build_table(code, poset, budget)
         plan = build_plan_for_code(code, poset, budget)
@@ -104,22 +109,22 @@ def _decoder_optimality(rng: random.Random, budget: int) -> bool:
         comp_support = sorted(
             set().union(*(c.support() for c in plan.decomposition.components))
         )
-        for coords in itertools.product(range(2), repeat=n):
-            y = Vector(f2, coords)
+        for coords in itertools.product(range(field.p), repeat=n):
+            y = Vector(field, coords)
             best = min(p_distance(y, c, poset) for c in words)
-            if p_distance(y, decode_full(table, y), poset) != best:
+            decoded = decode_full(table, y)
+            if decoded not in words or p_distance(y, decoded, poset) != best:
                 return False
         # optimality is proven for words whose image in the decomposed
         # domain avoids the pointer, so draw them there and carry them out
-        for coords in itertools.product(range(2), repeat=len(comp_support)):
+        for coords in itertools.product(range(field.p), repeat=len(comp_support)):
             y = apply_map(
-                plan.from_decomposed, unproject_support(comp_support, n, Vector(f2, coords))
+                plan.from_decomposed, unproject_support(comp_support, n, Vector(field, coords))
             )
             best = min(p_distance(y, c, poset) for c in words)
-            if p_distance(y, decode_leveled_alg1(plan, y), poset) != best:
-                return False
-            if p_distance(y, decode_leveled_alg2(plan, y), poset) != best:
-                return False
+            for decoded in (decode_leveled_alg1(plan, y), decode_leveled_alg2(plan, y)):
+                if decoded not in words or p_distance(y, decoded, poset) != best:
+                    return False
     return True
 
 

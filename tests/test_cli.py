@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,12 +7,12 @@ from conftest import run_fresh
 from posetcode import cli as cli_module
 from posetcode import decomp as decomp_module
 from posetcode import files
-from posetcode.budget import BudgetExceededError
+from posetcode.budget import DEFAULT_BUDGET, BudgetExceededError
 from posetcode.cli import main
 from posetcode.decomp import Decomposition, validate_p_decomposition, PDecomposition
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix
-from posetcode.selftest import run_selftest
+from posetcode.selftest import _decoder_optimality, run_selftest
 
 F2 = PrimeField(2)
 
@@ -291,6 +292,14 @@ def test_selftest_budget_reaches_the_oracle_enumerations():
     with pytest.raises(BudgetExceededError) as err:
         run_selftest(budget=50)
     assert err.value.what == "poset enumeration"
+
+
+def test_selftest_decoder_optimality_catches_an_added_leader(monkeypatch):
+    # y + leader is y - leader over GF(2) only, so the GF(3) draws must see it
+    monkeypatch.setattr(
+        "posetcode.selftest.decode_full", lambda t, y: y + t.leaders[t.syndrome(y)]
+    )
+    assert not _decoder_optimality(random.Random(0), DEFAULT_BUDGET)
 
 
 def test_bench_command(workdir, capsys):

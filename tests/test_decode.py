@@ -15,6 +15,7 @@ from conftest import (
     reference_hierarchical_groups,
     reference_leaders,
 )
+from posetcode import decode as decode_module
 from posetcode import oracle
 from posetcode.budget import BudgetExceededError
 from posetcode.decomp import components_from_matrix, maximal_p_decomposition
@@ -180,6 +181,17 @@ class TestProjection:
         assert lifted.coords == (0, 1, 0, 0, 1)
         assert project_support(support, lifted) == v
 
+    def test_unproject_rejects_positions_that_do_not_fit_the_word(self):
+        v = Vector(F2, [1, 1])
+        for support, n, word, message in (
+            ([0], 3, Vector(F2, [1]), r"positions \[0\] do not all lie in 1\.\.3"),
+            ([5], 3, Vector(F2, [1]), r"positions \[5\] do not all lie in 1\.\.3"),
+            ([1, 2, 3], 4, v, "3 positions for a word of length 2"),
+            ([1], 3, v, "1 positions for a word of length 2"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                unproject_support(support, n, word)
+
 
 class TestGrouping:
     def test_antichain_components_all_independent(self):
@@ -299,6 +311,42 @@ class TestDecoding:
             build_table(code, Poset.chain(4))
         with pytest.raises(ValueError, match=mismatch):
             build_plan(components_from_matrix(code.gen), Poset.chain(4))
+
+    def test_build_plan_rejects_a_witness_of_another_size_or_field(self):
+        code = Code.from_rows(F2, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        p = Poset.chain(4)
+        d = maximal_p_decomposition(code, p).decomposition
+        for witness in (Matrix.identity(F2, 3), Matrix.identity(F2, 5), Matrix.identity(F3, 4)):
+            with pytest.raises(ValueError, match=r"witness must be a 4 x 4 matrix over GF\(2\)"):
+                build_plan(d, p, witness=witness)
+        singular = Matrix(F2, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        with pytest.raises(ValueError, match="matrix is singular"):
+            build_plan(d, p, witness=singular)
+
+    def test_group_tables_decode_through_their_plan(self):
+        code = Code.from_rows(F3, [[1, 2, 0, 0], [0, 0, 1, 1]])
+        plan = build_plan_for_code(code, Poset.chain(4))
+        table = plan.groups[0].table
+        with pytest.raises(ValueError, match="a plan's group table decodes through its plan"):
+            decode_full(table, Vector(F3, [1] * table.code.n))
+
+    def test_a_table_and_a_plan_each_build_one_accumulator(self, monkeypatch):
+        # the leader scans build no accumulator; one stacked map is made
+        # per full table and per plan, however many groups it has
+        calls = []
+        chunk_tables = decode_module._chunk_tables
+        monkeypatch.setattr(
+            decode_module, "_chunk_tables", lambda *args: calls.append(args) or chunk_tables(*args)
+        )
+        rng = random.Random(21)
+        for field, n in ((F2, 10), (F3, 6)):
+            code = random_code(rng, field, n, n // 2)
+            p = Poset.chain(n)
+            build_table(code, p)
+            assert len(calls) == 1
+            plan = build_plan_for_code(code, p)
+            assert len(plan.groups) == n // 2 and len(calls) == 2
+            del calls[:]
 
     def test_single_hamming_error_corrected(self):
         code = Code.from_rows(F2, [[1, 1, 1]])

@@ -1,0 +1,25 @@
+"""Pinned digests of the output-identity corpus slice.
+
+The digests were recorded before the decode accumulator moved into one
+builder; a change that alters any leader, its order, a grouping, a
+`table_sizes` entry, a syndrome or a decoded word changes one of them.
+`python tests/identity_corpus.py` runs the full corpus for comparing two
+trees.
+"""
+
+from identity_corpus import SLICE_PER_CELL, digests
+
+SLICE_DIGESTS = {
+    "instances": "86b66ebd3c1c4a96b436dfe5db1d9424512fb1fdf32ea417ab6b509a30e4a563",
+    "leaders.full": "fd4e22df8158a079eb75d75ba7b9de9b5c55d6518858e644ec2d02f50eefd9f2",
+    "leaders.groups": "c5a22931863a53a170c542de1b79c50a0479f79e85ff461e6bb8bd1a6ab5d71f",
+    "plan": "65612f59d9483ee1366a5a3d2e7e913fb8a45c2a4130ae45603caadc8b710663",
+    "decode.full": "40c65d14429a2406aeaf8419e77e6c996c5a04ecc024f3d19212555a4393e1c4",
+    "decode.alg1": "6e713d0c65f39bfbed45618bea3313e8e669517ef283973242da1b0a0dd456b5",
+    "decode.alg2": "9c4f7c654dc4d578fb4ac63872fc511ee8e18c9cf3655d0179cb4b5c74def519",
+    "syndrome": "ae6d558fd32e90f3ec250d06a1370074813410d5711b7454d9641918a53f275a",
+}
+
+
+def test_identity_corpus_slice_matches_recorded_digests():
+    assert digests(SLICE_PER_CELL) == SLICE_DIGESTS
