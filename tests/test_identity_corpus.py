@@ -1,10 +1,13 @@
 """Pinned digests of the output-identity corpus slice.
 
-The digests were recorded before the decode accumulator moved into one
-builder; a change that alters any leader, its order, a grouping, a
-`table_sizes` entry, a syndrome or a decoded word changes one of them.
-`python tests/identity_corpus.py` runs the full corpus for comparing two
-trees.
+The first eight digests were recorded before the decode accumulator
+moved into one builder, the other six before the coefficient order was
+written once (`linear._lexicographic`); a change that alters any
+leader, its order, a grouping, a `table_sizes` entry, a syndrome, a
+decoded word, a canonical matrix or witness, a profile, a degree, a
+neighbor, a cut or a radius changes one of them.
+`python tests/identity_corpus.py --against REV` runs the full corpus in
+this tree and at a git revision and compares them.
 """
 
 from identity_corpus import SLICE_PER_CELL, digests
@@ -18,6 +21,12 @@ SLICE_DIGESTS = {
     "decode.alg1": "6e713d0c65f39bfbed45618bea3313e8e669517ef283973242da1b0a0dd456b5",
     "decode.alg2": "9c4f7c654dc4d578fb4ac63872fc511ee8e18c9cf3655d0179cb4b5c74def519",
     "syndrome": "ae6d558fd32e90f3ec250d06a1370074813410d5711b7454d9641918a53f275a",
+    "canonical": "249dc64eea65bcd017108aa83131410ba65969e1ab4bdca96e57778827784969",
+    "profile": "58250976f8df80b43ad3456ccc0cafe8428085aa06b933220d4fc7c93b19ec2c",
+    "degree": "8260e3a115e8708075844a0f1f61fb83cc41be5b2b1c9b0c929b84793f255e0e",
+    "groups": "f54ec3230a9ac2223e83e79e8705315f42dc2e933a4f07ac5396209a14772bcb",
+    "order": "7c58de8b260217cd18023fd25e0f70a6bf42911dc1cb046b839cae1c21c50cc1",
+    "radius": "3ee00320fed8a1d4e7a3562bad6db089f708d8440feabd0d2922d12c8158f0e1",
 }
 
 
