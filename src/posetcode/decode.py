@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import reduce
-from operator import and_
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import Decomposition, maximal_p_decomposition
@@ -45,6 +45,8 @@ from .linear import (
     RowKernel,
     Vector,
     _chunk_slots,
+    _lexicographic,
+    _packed_columns,
     _residue_runs,
     _residue_vector,
     classical_rref,
@@ -70,11 +72,6 @@ def parity_check(code: Code) -> Matrix:
     return Matrix(code.field, rows, n=code.n)
 
 
-def _packed_columns(kernel: RowKernel, rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The n packed columns of the rows."""
-    return [kernel.pack([row[j] for row in rows]) for j in range(n)]
-
-
 def _accumulate(kernel: RowKernel, columns: Sequence[int], coords: Sequence[int]) -> int:
     """The packed image of a word: y_j times column j, summed over j."""
     add, scale = kernel.add, kernel.scale
@@ -97,10 +94,7 @@ def _chunk_tables(kernel: RowKernel, columns: Sequence[int]) -> _Chunks:
     chunks = []
     for a in range(0, len(columns), c):
         run = columns[a : a + c]
-        images = [0]  # in the lexicographic order of `_residue_runs`
-        for col in run:
-            multiples = kernel.multiples(col)
-            images = [add(image, multiple) for image in images for multiple in multiples]
+        images = _lexicographic(add, 0, map(kernel.multiples, run))
         chunks.append((slice(a, a + c), dict(zip(_residue_runs(p, len(run)), images))))
     return tuple(chunks)
 
@@ -172,25 +166,6 @@ def _check_word(code: Code, y: Vector) -> None:
         raise ValueError(f"vector length {len(y)} does not match code length {code.n}")
 
 
-def _half_words(
-    add: Callable[[int, int], int],
-    multiples: Sequence[list[int]],
-    ideals: Sequence[int],
-    positions: range,
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Every word on the given coordinates, in lexicographic order, as
-    (packed syndrome, union of the ideals over its support, residues)."""
-    words = [(0, 0, ())]
-    for j in positions:
-        col, ideal = multiples[j], ideals[j]
-        words = [
-            (add(s, multiple), union | ideal if c else union, coords + (c,))
-            for s, union, coords in words
-            for c, multiple in enumerate(col)
-        ]
-    return words
-
-
 def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTable:
     """Enumerate the ambient space and keep a least-weight word per syndrome.
 
@@ -206,12 +181,20 @@ def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTabl
     check_budget("syndrome table size", q ** (n - k), budget)
     check_budget("syndrome table enumeration", q**n, budget)
     parity = parity_check(code)
-    kernel = row_kernel(code.field.p, n - k)
+    kernel = row_kernel(q, n - k)
     add = kernel.add
     multiples = [kernel.multiples(col) for col in _packed_columns(kernel, parity.rows, n)]
-    tail = _half_words(add, multiples, ideals, range(n // 2, n))
+    unions = [[0] + [ideal] * (q - 1) for ideal in ideals]  # the multiples of an ideal under |
+
+    def words(half: slice) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        # (packed syndrome, union of the ideals over the support, residues)
+        return zip(_lexicographic(add, 0, multiples[half]),
+                   _lexicographic(or_, 0, unions[half]),
+                   _residue_runs(q, len(unions[half])))
+
+    tail = list(words(slice(n // 2, n)))
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for head_s, head_union, head in _half_words(add, multiples, ideals, range(n // 2)):
+    for head_s, head_union, head in words(slice(n // 2)):
         for tail_s, tail_union, tail_coords in tail:
             s = add(head_s, tail_s)
             w = (head_union | tail_union).bit_count()

@@ -25,7 +25,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .linear import Basis, Code, Matrix, RowKernel, is_generalized_rref, p_weight, row_kernel
+from .linear import (Basis, Code, Matrix, RowKernel, _lexicographic, _packed_columns,
+                     is_generalized_rref, p_weight, row_kernel)
 from .poset import Poset, _mask_to_set, _nonzero_mask, _row_graph_groups, _strict_ups
 
 
@@ -227,7 +228,7 @@ class _Canonicalizer:
         self.poset = poset
         self.ups = _strict_ups(poset)
         self.kernel = kernel = row_kernel(self.p, self.k, self.n)
-        self.cols = [kernel.pack(g.column(j)) | kernel.unit(self.k + j) for j in range(self.n)]
+        self.cols = _packed_columns(kernel, g.rows + Matrix.identity(g.field, g.n).rows, g.n)
         self.rereduce()
 
     def rereduce(self) -> None:
@@ -379,10 +380,8 @@ class _Canonicalizer:
             component, in itertools.product order of the x_j, as
             (coordinates, whole column with tags)."""
             if r not in candidates_at:
-                out = [self.cols[r]]
-                for j in sources[r]:
-                    mult = multiples(self.cols[j])
-                    out = [add(h, m) for h in out for m in mult]
+                out = _lexicographic(add, self.cols[r],
+                                     (multiples(self.cols[j]) for j in sources[r]))
                 candidates_at[r] = [(h & coords, h) for h in out]
             return candidates_at[r]
 
@@ -479,7 +478,7 @@ def is_p_canonical(g: Matrix, poset: Poset) -> bool:
     if not is_generalized_rref(g):
         return False
     kernel = row_kernel(g.field.p, g.k)
-    cols = [kernel.pack(g.column(j)) for j in range(g.n)]
+    cols = _packed_columns(kernel, g.rows, g.n)
     return all(
         _coset_representative(kernel, cols, r, above) == cols[r]
         for r, above in enumerate(_strict_ups(poset))

@@ -23,7 +23,7 @@ import bisect
 import functools
 import itertools
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .field import PrimeField
@@ -131,6 +131,17 @@ def _chunk_slots(p: int) -> int:
 def _residue_runs(p: int, length: int) -> tuple[tuple[int, ...], ...]:
     """Every tuple of `length` residues mod p, in lexicographic order."""
     return tuple(itertools.product(range(p), repeat=length))
+
+
+def _lexicographic(add: Callable[[int, int], int], start: int,
+                   multiples: Iterable[Sequence[int]]) -> list[int]:
+    """start plus every combination of packed columns, given their multiples
+    0..p-1, in `itertools.product` order of the coefficients (`_residue_runs`):
+    the one order fixing the leaders a table keeps and the split candidates."""
+    images = [start]
+    for column in multiples:
+        images = [add(image, multiple) for image in images for multiple in column]
+    return images
 
 
 @functools.lru_cache(maxsize=256)
@@ -296,6 +307,11 @@ class RowKernel:
 
 row_kernel = functools.lru_cache(maxsize=256)(RowKernel)
 """RowKernel(p, m, tags), shared between calls of the same shape."""
+
+
+def _packed_columns(kernel: RowKernel, rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The n columns of the rows, each packed as one kernel row."""
+    return [kernel.pack([row[j] for row in rows]) for j in range(n)]
 
 
 class Matrix:
