@@ -9,7 +9,10 @@ the word's support.
 Every syndrome is one packed `RowKernel` int.  The leader scan lists
 the words on the first half of the coordinates and on the second half,
 each with its packed syndrome and ideal union, and scans the pairs in
-lexicographic order.  It keeps the leaders and nothing else.
+lexicographic order.  It keeps the leaders and nothing else.  Both
+halves come from `linear._lexicographic`: the syndromes as combinations
+of the parity columns, the unions as combinations of the coordinate
+ideals under `|`, zipped with the residue tuples of `_residue_runs`.
 
 Every decoder reads a received word through one packed accumulator,
 built by `_build_decoder` from groups of (support, leader table) given
@@ -20,7 +23,8 @@ its group covers all n coordinates and there is no witness, so S
 stacks H e_j over n keep slots that copy e_j.  The accumulator is
 stored as chunk tables: the coordinates are cut into runs of c, the
 most with p^c <= 256 (8 over GF(2), 5 over GF(3), 1 from GF(17) up),
-and each run maps every residue tuple to its packed image.  A decode
+and each run maps every residue tuple to its packed image, listed by
+`linear._lexicographic` in the order of `_residue_runs`.  A decode
 is then one slice, one lookup and one add per run, a slice per group,
 one lookup of a negated leader for the group that fires, one packed
 add, and a table read of the result's residues (`RowKernel.residues`)
@@ -181,7 +185,7 @@ def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTabl
     check_budget("syndrome table size", q ** (n - k), budget)
     check_budget("syndrome table enumeration", q**n, budget)
     parity = parity_check(code)
-    kernel = row_kernel(q, n - k)
+    kernel = row_kernel(code.field.p, n - k)
     add = kernel.add
     multiples = [kernel.multiples(col) for col in _packed_columns(kernel, parity.rows, n)]
     unions = [[0] + [ideal] * (q - 1) for ideal in ideals]  # the multiples of an ideal under |
@@ -302,7 +306,17 @@ def project(code: Code, y: Vector) -> Vector:
     return project_support(sorted(code.support()), y)
 
 
+def _check_positions(support: Sequence[int], n: int) -> None:
+    """Reject positions outside 1..n, or a position given twice."""
+    if not all(1 <= pos <= n for pos in support):
+        raise ValueError(f"positions {list(support)} do not all lie in 1..{n}")
+    if len(set(support)) != len(support):
+        raise ValueError(f"positions {list(support)} repeat a position")
+
+
 def project_support(support: list[int], y: Vector) -> Vector:
+    """y's coordinates at the given positions, in the order given."""
+    _check_positions(support, len(y))
     return Vector(y.field, (y.coords[i - 1] for i in support))
 
 
@@ -310,8 +324,7 @@ def unproject_support(support: list[int], n: int, v: Vector) -> Vector:
     """Place v's coordinates at the given positions, zeros elsewhere."""
     if len(support) != len(v):
         raise ValueError(f"{len(support)} positions for a word of length {len(v)}")
-    if not all(1 <= pos <= n for pos in support):
-        raise ValueError(f"positions {list(support)} do not all lie in 1..{n}")
+    _check_positions(support, n)
     coords = [0] * n
     for pos, c in zip(support, v.coords):
         coords[pos - 1] = c

@@ -331,9 +331,15 @@ class _Canonicalizer:
 
         Columns are placed highest first, each on one of two sides with
         one of its candidates; the side bases must keep independent
-        spans.  Two cuts remove only states that hold no split, so the
-        first split found, and the canonical output, do not depend on
-        them:
+        spans.  A column's candidates come from `linear._lexicographic`:
+        the column plus every combination of its sources, in
+        `itertools.product` order of the coefficients, the first
+        source's changing slowest.  They are pushed in that order, and
+        the stack pops the last one first; together these decide which
+        split is found first, so reordering them can change the output.
+
+        Two cuts remove only states that hold no split, so the first
+        split found, and the canonical output, do not depend on them:
 
         - A component in which no column has a column strictly above it
           inside the support cannot split.  The matrix is in
@@ -377,7 +383,7 @@ class _Canonicalizer:
 
         def candidates(r: int) -> list[tuple[int, int]]:
             """Every col_r + sum x_j col_j over the sources j above r in the
-            component, in itertools.product order of the x_j, as
+            component, in `_lexicographic` order of the x_j, as
             (coordinates, whole column with tags)."""
             if r not in candidates_at:
                 out = _lexicographic(add, self.cols[r],

@@ -12,9 +12,15 @@ row against a reduced echelon basis and extends a basis by one row;
 rank, both echelon forms, inversion and code membership, as well as the
 canonical form, all go through it: there each packed int holds one
 column of the generator, with the matching witness row in tag slots.
-The decoders read their packed output back as a residue tuple, one
-table lookup per run of slots (`RowKernel.residues`), into a `Vector`
-that is not reduced again (`_residue_vector`).
+Columns are packed by one helper, `_packed_columns`.  One enumerator,
+`_lexicographic`, lists a start row plus every combination of some
+packed columns in the lexicographic (`itertools.product`) order of the
+coefficients: that order picks the coset leader a syndrome table
+keeps, fills the decoders' chunk tables, and sets the order in which
+the split search tries candidates.  The decoders read their packed
+output back as a residue tuple, one table lookup per run of slots
+(`RowKernel.residues`), into a `Vector` that is not reduced again
+(`_residue_vector`).
 """
 
 from __future__ import annotations

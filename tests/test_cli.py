@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import textwrap
 
 import pytest
 
@@ -300,6 +302,30 @@ def test_selftest_decoder_optimality_catches_an_added_leader(monkeypatch):
         "posetcode.selftest.decode_full", lambda t, y: y + t.leaders[t.syndrome(y)]
     )
     assert not _decoder_optimality(random.Random(0), DEFAULT_BUDGET)
+
+
+def test_selftest_reports_a_raising_property_as_a_failure(monkeypatch, capsys):
+    def broken(rng, budget):
+        raise KeyError(0)
+
+    monkeypatch.setattr("posetcode.selftest._radius_brackets", broken)
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["FAIL radius-brackets", "selftest FAILED"]
+    assert all(line.startswith("PASS") for line in out[:-2])
+
+
+def test_selftest_profile_invariance_catches_a_wrong_pivot_sign(monkeypatch, capsys):
+    # rereduce tags pivot i with -1, so a reduced column carries +(its
+    # coordinates); with +1 every generator is negated, unseen over GF(2)
+    source = textwrap.dedent(inspect.getsource(decomp_module._Canonicalizer.rereduce))
+    assert source.count("(p - 1) * scratch.unit") == 1
+    namespace: dict = {}
+    exec(source.replace("(p - 1) * scratch.unit", "1 * scratch.unit"), vars(decomp_module), namespace)
+    monkeypatch.setattr(decomp_module._Canonicalizer, "rereduce", namespace["rereduce"])
+    for seed in ("0", "9"):
+        assert main(["selftest", "--seed", seed]) == 3
+        assert "FAIL profile-invariance" in capsys.readouterr().out.splitlines()
 
 
 def test_bench_command(workdir, capsys):

@@ -188,9 +188,20 @@ class TestProjection:
             ([5], 3, Vector(F2, [1]), r"positions \[5\] do not all lie in 1\.\.3"),
             ([1, 2, 3], 4, v, "3 positions for a word of length 2"),
             ([1], 3, v, "1 positions for a word of length 2"),
+            ([1, 1], 3, Vector(F2, [1, 0]), r"positions \[1, 1\] repeat a position"),
         ):
             with pytest.raises(ValueError, match=message):
                 unproject_support(support, n, word)
+
+    def test_project_rejects_positions_outside_the_word_or_repeated(self):
+        y = Vector(F2, [0, 0, 1])
+        for support, message in (
+            ([0], r"positions \[0\] do not all lie in 1\.\.3"),
+            ([5], r"positions \[5\] do not all lie in 1\.\.3"),
+            ([2, 2], r"positions \[2, 2\] repeat a position"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                project_support(support, y)
 
 
 class TestGrouping:
