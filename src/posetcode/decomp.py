@@ -228,7 +228,8 @@ class _Canonicalizer:
         self.poset = poset
         self.ups = _strict_ups(poset)
         self.kernel = kernel = row_kernel(self.p, self.k, self.n)
-        self.cols = _packed_columns(kernel, g.rows + Matrix.identity(g.field, g.n).rows, g.n)
+        packed = _packed_columns(kernel, g.rows, g.n)
+        self.cols = [col | kernel.unit(self.k + j) for j, col in enumerate(packed)]
         self.rereduce()
 
     def rereduce(self) -> None:
