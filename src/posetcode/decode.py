@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -155,11 +155,17 @@ class SyndromeTable:
         default=None, repr=False, compare=False, kw_only=True
     )
 
+    @cached_property
+    def _parity_columns(self) -> list[int]:
+        """The packed columns of the parity matrix, packed on the first
+        `syndrome` call; a group table has no decoder to hold them."""
+        return _packed_columns(row_kernel(self.code.field.p, self.parity.k),
+                               self.parity.rows, self.code.n)
+
     def syndrome(self, y: Vector) -> tuple[int, ...]:
         _check_word(self.code, y)
         kernel = row_kernel(self.code.field.p, self.parity.k)
-        columns = _packed_columns(kernel, self.parity.rows, self.code.n)
-        return tuple(kernel.unpack(_accumulate(kernel, columns, y.coords)))
+        return tuple(kernel.unpack(_accumulate(kernel, self._parity_columns, y.coords)))
 
 
 def _check_word(code: Code, y: Vector) -> None:

@@ -14,8 +14,11 @@ and row j of the witness in its tag slots.  A move on column j takes
 the same combination of witness rows as of columns, so a single kernel
 addition carries out both.  The split search builds its candidates on
 the whole packed columns, so a split it finds is applied by assigning
-them; it keeps its bases as tuples of packed columns, which also serve
-as the keys of the states it has visited.
+them.  Its two side bases are reduced echelon (`RowKernel.extend`):
+they are the keys of the states it has visited, and an echelon basis
+depends only on its span.  Every other basis here is only reduced
+against, tested or counted, so it is triangular (`RowKernel.adjoin`),
+which skips the back-substitution and reduces to the same ints.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .linear import (Basis, Code, Matrix, RowKernel, _lexicographic, _packed_columns,
-                     is_generalized_rref, p_weight, row_kernel)
+                     _triangular, is_generalized_rref, p_weight, row_kernel)
 from .poset import Poset, _mask_to_set, _nonzero_mask, _row_graph_groups, _strict_ups
 
 
@@ -156,20 +159,20 @@ def _coset_representative(
     """Canonical representative of cols[r] modulo the span of the cols[j],
     j in `above`.
 
-    The spanning columns are echelonized in the order given, skipping any
-    whose coordinates depend on the earlier ones, so pivots sit at the
-    smallest row indices.  Tag slots ride along: they take the same
-    combination of the spanning columns as the coordinates.
+    The spanning columns are adjoined to a triangular basis in the order
+    given, skipping any whose coordinates depend on the earlier ones, so
+    pivots sit at the smallest row indices.  Tag slots ride along: they
+    take the same combination of the spanning columns as the coordinates.
     """
     basis: Basis = ()
     for j in above:
-        basis = kernel.extend(basis, cols[j]) or basis
+        basis = kernel.adjoin(basis, cols[j]) or basis
     return kernel.reduce(cols[r], basis)
 
 
 def _dead_column(
     reduce: Callable[[int, Basis], int],
-    extend: Callable[[Basis, int], Basis | None],
+    adjoin: Callable[[Basis, int], Basis | None],
     cosets: Iterable[tuple[int, Basis]],
     b1: Basis,
     b2: Basis,
@@ -194,7 +197,7 @@ def _dead_column(
             # when the rest of c lies in the span of the rests of u
             rests: Basis = ()
             for _, row in u:
-                rests = extend(rests, reduce(row, b)) or rests
+                rests = adjoin(rests, reduce(row, b)) or rests
             if not reduce(rest, rests):
                 break
         else:
@@ -247,9 +250,9 @@ class _Canonicalizer:
             if rank == k:
                 break
             # tagging pivot i with -1 leaves +(coordinates) in the tags of a reduced column
-            extended = scratch.extend(basis, c & coords | (p - 1) * scratch.unit(k + rank))
-            if extended is not None:
-                basis, rank = extended, rank + 1
+            grown = scratch.adjoin(basis, c & coords | (p - 1) * scratch.unit(k + rank))
+            if grown is not None:
+                basis, rank = grown, rank + 1
         if rank < k:
             raise ValueError(f"rank deficiency: rank {rank} < {k} rows")
         shift, reduce = scratch.w * k, scratch.reduce
@@ -369,6 +372,10 @@ class _Canonicalizer:
         with no sources, fills side 0: a state splits if side 1 is nonempty.
         Only equal reductions give a side one span: red and a.red, a != 1,
         put (1 - a)c in span(b1 + b2), where no candidate extends `comb`.
+
+        The side bases b1 and b2 are reduced echelon, since they key the
+        visited states; the combined basis `comb` and each column's source
+        basis u are triangular, since they are only reduced against.
         """
         support_set = set(support)
         # the sources of each column: the columns strictly above it in the component
@@ -379,7 +386,7 @@ class _Canonicalizer:
         order = sorted(support, key=lambda j: (-heights[j], j))
         add, multiples, coords = self.kernel.add, self.kernel.multiples, self.kernel.coords
         search = row_kernel(self.p, self.k)  # coordinate parts need no tag slots
-        reduce, extend = search.reduce, search.extend
+        reduce, adjoin, extend = search.reduce, search.adjoin, search.extend
         candidates_at: dict[int, list[tuple[int, int]]] = {}
 
         def candidates(r: int) -> list[tuple[int, int]]:
@@ -392,12 +399,12 @@ class _Canonicalizer:
                 candidates_at[r] = [(h & coords, h) for h in out]
             return candidates_at[r]
 
-        # each column as (coordinates, echelon basis of its sources' coordinates)
+        # each column as (coordinates, triangular basis of its sources' coordinates)
         cosets = []
         for r in order:
             u: Basis = ()
             for j in sources[r]:
-                u = extend(u, self.cols[j] & coords) or u
+                u = adjoin(u, self.cols[j] & coords) or u
             cosets.append((self.cols[r] & coords, u))
 
         seen: set = set()
@@ -418,7 +425,7 @@ class _Canonicalizer:
                 continue
             seen.add(key)
             # with the second side empty, span(b1 + b2) = span(b1) and no column is dead
-            if b2 and _dead_column(reduce, extend, cosets[idx:], b1, b2, comb):
+            if b2 and _dead_column(reduce, adjoin, cosets[idx:], b1, b2, comb):
                 continue
             r = order[idx]
             for side in (0,) if idx == 0 else (0, 1):
@@ -430,7 +437,7 @@ class _Canonicalizer:
                         if red in tried:
                             continue  # same reduction as an earlier candidate
                         tried.add(red)
-                        new_comb = extend(comb, red)
+                        new_comb = adjoin(comb, red)
                         if new_comb is None:
                             continue  # would intersect the other side
                         new_own = extend(own, red)
@@ -542,10 +549,12 @@ def validate_p_decomposition(pd: PDecomposition, poset: Poset) -> None:
         raise ValueError("witness is singular")
     transformed = w.apply_to_rows(pd.original.gen)
     target = pd.decomposition.code
+    kernel, basis = _triangular(target.field, target.gen.rows, target.n)
+    elsewhere = target.field != w.field or target.n != w.n  # then no image is in the target
     for orig_row, image in zip(pd.original.gen.row_vectors(), transformed.row_vectors()):
         if p_weight(orig_row, poset) != p_weight(image, poset):
             raise ValueError("witness does not preserve weights on the generators")
-        if not target.contains(image):
+        if elsewhere or kernel.reduce(kernel.pack(image.coords), basis):
             raise ValueError("witness maps a generator outside the decomposed code")
     # an invertible witness keeps the rank, so the image is onto exactly
     # when the dimensions agree

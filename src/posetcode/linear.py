@@ -8,9 +8,13 @@ Every row reduction runs on one packed-row kernel, `RowKernel`.  A row
 of GF(p)^m is a single Python int holding coordinate i in bits
 [i*w, (i+1)*w), with w = 1 over GF(2) and w = (2p-2).bit_length() + 1
 over odd p.  The kernel adds rows slotwise, takes multiples, reduces a
-row against a reduced echelon basis and extends a basis by one row;
-rank, both echelon forms, inversion and code membership, as well as the
-canonical form, all go through it: there each packed int holds one
+row against a basis and grows a basis by one row.  A basis that is only
+reduced against, tested or counted is triangular (`RowKernel.adjoin`):
+rank, code membership, and the coset passes and split search of the
+canonical form.  One whose rows are read or compared is reduced echelon
+(`RowKernel.extend`, which is `adjoin` plus back-substitution): both
+echelon forms, inversion, and the split search's side bases, which key
+its visited states.  In the canonical form each packed int holds one
 column of the generator, with the matching witness row in tag slots.
 Columns are packed by one helper, `_packed_columns`.  One enumerator,
 `_lexicographic`, lists a start row plus every combination of some
@@ -158,9 +162,14 @@ def _residue_table(p: int, w: int, length: int) -> dict[int, tuple[int, ...]]:
 
 
 Basis = tuple[tuple[int, int], ...]
-"""A reduced echelon basis of packed rows: (shift, row) pairs sorted by
-shift.  Each row's pivot, its lowest nonzero coordinate slot, starts at
-bit `shift`, holds 1, and is zero in every other row of the basis."""
+"""A basis of packed rows as (shift, row) pairs.  Each row's pivot, its
+lowest nonzero coordinate slot, starts at bit `shift`, holds 1, and is
+zero in every later row.  `RowKernel.adjoin` keeps the rows in the order
+they came (triangular); `RowKernel.extend` sorts them by shift and clears
+each pivot in every other row (reduced echelon).  Built from the same
+rows, both have the same pivots, which depend only on the span, and
+reduce a row to the same int, tags included: one combination of their
+independent rows clears those pivots."""
 
 
 class RowKernel:
@@ -179,9 +188,13 @@ class RowKernel:
     take part in every addition, so they can record which combination
     of input rows a row is, but they never hold a pivot.  `coords`
     masks the m coordinate slots.
+
+    `add`, `scale`, `reduce`, `adjoin` and `extend` are closures bound
+    once per kernel, so the hot loops load no attribute per call.
     """
 
-    __slots__ = ("p", "m", "w", "slot", "add", "coords", "_fill", "_top", "_reads")
+    __slots__ = ("p", "m", "w", "slot", "add", "scale", "reduce", "adjoin", "extend",
+                 "coords", "_fill", "_top", "_reads")
 
     def __init__(self, p: int, m: int, tags: int = 0):
         self.p, self.m = p, m
@@ -199,12 +212,58 @@ class RowKernel:
                 s = a + c
                 return s - (((s + bias) & high) >> top) * p
 
-        self.w = w
-        self.slot = (1 << w) - 1
-        self.add = add
-        self.coords = (1 << (w * m)) - 1
-        ones = self.coords // self.slot  # bit 0 of every coordinate slot
-        self._fill, self._top = ones * (self.slot >> 1), ones << (w - 1)
+        self.w, self.add = w, add
+        self.slot = slot = (1 << w) - 1
+        self.coords = coords = (1 << (w * m)) - 1
+        ones = coords // slot  # bit 0 of every coordinate slot
+        self._fill, self._top = ones * (slot >> 1), ones << (w - 1)
+        minus_one = p - 1
+
+        def scale(row: int, c: int) -> int:
+            """c * row for 0 < c < p, by doubling and adding."""
+            out = row
+            for bit in bin(c)[3:]:
+                out = add(out, out)
+                if bit == "1":
+                    out = add(out, row)
+            return out
+
+        def reduce(row: int, basis: Basis) -> int:
+            """row minus the combination of basis rows that clears its pivot slots."""
+            for shift, b in basis:
+                f = row >> shift & slot
+                if f:
+                    row = add(row, b if f == minus_one else scale(b, p - f))
+            return row
+
+        def adjoin(basis: Basis, row: int) -> Basis | None:
+            """basis plus row, reduced by it and scaled to a unit pivot, as
+            its last row; None if the coordinates of row depend on basis."""
+            row = reduce(row, basis)
+            if not row & coords:
+                return None
+            bit = (row & -row).bit_length() - 1
+            shift = bit - bit % w
+            f = row >> shift & slot
+            return basis + ((shift, row if f == 1 else scale(row, pow(f, -1, p))),)
+
+        def extend(basis: Basis, row: int) -> Basis | None:
+            """The reduced echelon basis of the span of basis and row, or
+            None if the coordinates of row depend on the basis."""
+            grown = adjoin(basis, row)
+            if grown is None:
+                return None
+            shift, row = grown[-1]
+            out = []
+            for s, b in basis:
+                f = b >> shift & slot
+                if f:
+                    b = add(b, row if f == minus_one else scale(row, p - f))
+                out.append((s, b))
+            bisect.insort(out, (shift, row))
+            return tuple(out)
+
+        self.scale, self.reduce, self.adjoin, self.extend = scale, reduce, adjoin, extend
 
     def pack(self, coords: Sequence[int]) -> int:
         """One int from residues in [0, p), coordinate 0 in the lowest slot."""
@@ -270,46 +329,6 @@ class RowKernel:
             out.append(add(out[-1], row))
         return out
 
-    def scale(self, row: int, c: int) -> int:
-        """c * row for 0 < c < p, by doubling and adding."""
-        add = self.add
-        out = row
-        for bit in bin(c)[3:]:
-            out = add(out, out)
-            if bit == "1":
-                out = add(out, row)
-        return out
-
-    def reduce(self, row: int, basis: Basis) -> int:
-        """row minus the combination of basis rows that clears its pivot slots."""
-        add, scale, slot, p = self.add, self.scale, self.slot, self.p
-        for shift, b in basis:
-            f = row >> shift & slot
-            if f:
-                row = add(row, b if f == p - 1 else scale(b, p - f))
-        return row
-
-    def extend(self, basis: Basis, row: int) -> Basis | None:
-        """The reduced echelon basis of the span of basis and row, or
-        None if the coordinates of row depend on the basis."""
-        row = self.reduce(row, basis)
-        if not row & self.coords:
-            return None
-        add, scale, slot, p = self.add, self.scale, self.slot, self.p
-        bit = (row & -row).bit_length() - 1
-        shift = bit - bit % self.w
-        f = row >> shift & slot
-        if f != 1:
-            row = scale(row, pow(f, -1, p))
-        out = []
-        for s, b in basis:
-            f = b >> shift & slot
-            if f:
-                b = add(b, row if f == p - 1 else scale(row, p - f))
-            out.append((s, b))
-        bisect.insort(out, (shift, row))
-        return tuple(out)
-
 
 row_kernel = functools.lru_cache(maxsize=256)(RowKernel)
 """RowKernel(p, m, tags), shared between calls of the same shape."""
@@ -326,7 +345,8 @@ class Matrix:
     __slots__ = ("field", "rows", "k", "n")
 
     def __init__(self, field: PrimeField, rows: Iterable[Iterable[int]], n: int | None = None):
-        frozen = tuple(tuple(c % field.p for c in row) for row in rows)
+        modulus = itertools.repeat(field.p)  # endless, so every row can share it
+        frozen = tuple(tuple(map(operator.mod, row, modulus)) for row in rows)
         if frozen:
             width = len(frozen[0])
             if any(len(r) != width for r in frozen):
@@ -398,7 +418,17 @@ class Matrix:
         return g @ self.transpose()
 
     def rank(self) -> int:
-        return len(_echelon(self.field, self.rows, self.n)[1])
+        return len(_triangular(self.field, self.rows, self.n)[1])
+
+
+def _triangular(field: PrimeField, rows: Sequence[Sequence[int]], n: int) -> tuple[RowKernel, Basis]:
+    """A triangular basis of the span of rows of length n, for reduction
+    and counting only; rows dependent on earlier ones are dropped."""
+    kernel = row_kernel(field.p, n)
+    basis: Basis = ()
+    for row in rows:
+        basis = kernel.adjoin(basis, kernel.pack(row)) or basis
+    return kernel, basis
 
 
 def _echelon(field: PrimeField, rows: Sequence[Sequence[int]], m: int) -> tuple[RowKernel, Basis]:
@@ -507,7 +537,7 @@ class Code:
     def contains(self, v: Vector) -> bool:
         if v.field != self.field or len(v) != self.n:
             return False
-        kernel, basis = _echelon(self.field, self.gen.rows, self.n)
+        kernel, basis = _triangular(self.field, self.gen.rows, self.n)
         return not kernel.reduce(kernel.pack(v.coords), basis)
 
 

@@ -103,6 +103,24 @@ class TestSyndromeTable:
         assert table.syndrome(Vector(F2, [0, 1, 1])) == syndrome
         assert table.leaders[syndrome].coords == (1, 0, 0)
 
+    def test_syndrome_packs_the_parity_columns_once_per_table(self, monkeypatch):
+        # a full table and a plan's group table, which has no decoder
+        calls = []
+        packed_columns = decode_module._packed_columns
+        monkeypatch.setattr(
+            decode_module, "_packed_columns", lambda *args: calls.append(args) or packed_columns(*args)
+        )
+        code = Code.from_rows(F3, [[1, 2, 0, 0], [0, 0, 1, 1]])
+        p = Poset.antichain(4)
+        for table in (build_table(code, p), build_plan_for_code(code, p).groups[0].table):
+            assert table.parity.k
+            del calls[:]
+            words = [Vector(F3, [1] * table.code.n), Vector(F3, [2] + [0] * (table.code.n - 1))]
+            assert [table.syndrome(y) for y in words] == [
+                _reference_syndrome(table.parity, y) for y in words
+            ]
+            assert len(calls) == 1
+
     def test_full_space_single_leader(self):
         code = Code.from_rows(F2, [[1, 0], [0, 1]])
         table = build_table(code, Poset.antichain(2))

@@ -13,6 +13,7 @@ from posetcode.linear import (
     Matrix,
     RowKernel,
     Vector,
+    _echelon,
     classical_rref,
     invert_matrix,
     is_generalized_rref,
@@ -354,6 +355,34 @@ def test_kernel_extend_builds_the_classical_rref(p, data):
         assert list(classical_rref(g)[1]) == [shift // kernel.w for shift, _ in basis]
     for row in rows:
         assert kernel.reduce(kernel.pack(row), basis) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.data())
+def test_kernel_adjoin_keeps_the_rows_and_reductions_of_extend(p, data):
+    # a triangular basis keeps the rows a reduced echelon one keeps, and
+    # reduces every row to the same packed int, tag slots included
+    field = PrimeField(p)
+    m = data.draw(st.integers(1, 7))
+    tags = data.draw(st.integers(0, m))
+    kernel = RowKernel(p, m, tags)
+    rows = [_coords(data.draw, p, m + tags) for _ in range(data.draw(st.integers(0, 5)))]
+    # dependent coordinates often: combinations of two drawn rows, fresh tags
+    for _ in range(data.draw(st.integers(0, 3)) if rows else 0):
+        a, b = (data.draw(st.sampled_from(rows)) for _ in range(2))
+        c = data.draw(st.integers(0, p - 1))
+        combined = [(c * x + y) % p for x, y in zip(a[:m], b[:m])]
+        rows.insert(data.draw(st.integers(0, len(rows))), combined + _coords(data.draw, p, tags))
+    triangular, echelon = (), ()
+    for row in rows:
+        packed = kernel.pack(row)
+        adjoined, extended = kernel.adjoin(triangular, packed), kernel.extend(echelon, packed)
+        assert (adjoined is None) == (extended is None)
+        triangular, echelon = adjoined or triangular, extended or echelon
+    for v in rows + [_coords(data.draw, p, m + tags) for _ in range(4)]:
+        assert kernel.reduce(kernel.pack(v), triangular) == kernel.reduce(kernel.pack(v), echelon)
+    if rows:
+        assert Matrix(field, [r[:m] for r in rows]).rank() == len(_echelon(field, rows, m)[1])
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 17))
