@@ -14,7 +14,10 @@ and row j of the witness in its tag slots.  A move on column j takes
 the same combination of witness rows as of columns, so a single kernel
 addition carries out both.  The split search builds its candidates on
 the whole packed columns, so a split it finds is applied by assigning
-them.  Its two side bases are reduced echelon (`RowKernel.extend`):
+them.  It rules out splits of a component from the blocks (connected
+components) of the matroid of its fixed columns, those with no column
+above them in the component: each block ends on one side.  Its two
+side bases are reduced echelon (`RowKernel.extend`):
 they are the keys of the states it has visited, and an echelon basis
 depends only on its span.  Every other basis here is only reduced
 against, tested or counted, so it is triangular (`RowKernel.adjoin`),
@@ -170,6 +173,54 @@ def _coset_representative(
     return kernel.reduce(cols[r], basis)
 
 
+def _matroid_blocks(p: int, m: int, vectors: Sequence[int]) -> tuple[list[list[int]], int]:
+    """The connected components ("blocks") of the matroid of some packed
+    vectors of GF(p)^m, as index lists in order of their smallest, and
+    its rank.
+
+    The vectors are adjoined in order to a triangular basis whose i-th
+    row carries tag slot i, as `_Canonicalizer.rereduce` tags its pivots.
+    A vector that joins the basis gets its own slot as mask; one that
+    does not reduces to zero coordinates, and its tags then name the
+    basis vectors of its fundamental circuit.  Two elements share a
+    block exactly when a chain of fundamental circuits joins them, so
+    `_row_graph_groups` on these masks gives the blocks.  A zero vector
+    (a loop) stands alone.
+    """
+    scratch = row_kernel(p, m, m)
+    shift, unit, nonzero = scratch.w * m, scratch.unit, scratch.nonzero
+    basis: Basis = ()
+    masks = []
+    for v in vectors:
+        grown = scratch.adjoin(basis, v | unit(m + len(basis)))
+        if grown is None:
+            masks.append(nonzero(scratch.reduce(v, basis) >> shift))
+        else:
+            masks.append(nonzero(unit(len(basis))))
+            basis = grown
+    return _row_graph_groups(masks), len(basis)
+
+
+def _sides(reduce: Callable[[int, Basis], int], anchor: int, b1: Basis, b2: Basis,
+           dim: int) -> tuple[int, ...]:
+    """The sides on which the split search tries the next column, or ()
+    when the state holds no split.
+
+    The first column goes to side 0.  With side 1 still empty, a side 0
+    spanning all `dim` rows leaves no candidate a place on side 1.  A
+    fixed column with a nonzero `anchor`, the first placed member of its
+    block, goes to the side whose span holds the anchor.
+    """
+    if not b2:
+        if not b1:
+            return (0,)
+        if len(b1) == dim:
+            return ()
+    if anchor:
+        return (1,) if reduce(anchor, b1) else (0,)
+    return (0, 1)
+
+
 def _dead_column(
     reduce: Callable[[int, Basis], int],
     adjoin: Callable[[Basis, int], Basis | None],
@@ -281,15 +332,18 @@ class _Canonicalizer:
         column modulo it, and row reduction keeps every linear relation.
         """
         seen: set[tuple[int, ...]] = set()
+        coords = self.kernel.coords
         while True:
-            key = tuple(c & self.kernel.coords for c in self.cols)
+            key = tuple(c & coords for c in self.cols)
             if key in seen:
                 return False
             seen.add(key)
             changed = False
             cols = self.cols
             for r in range(self.n - 1, -1, -1):
-                if self.ups[r]:
+                # reduction reads coordinate slots only, so a column with
+                # none nonzero is its own representative, tags included
+                if self.ups[r] and cols[r] & coords:
                     rep = _coset_representative(self.kernel, cols, r, self.ups[r])
                     if rep != cols[r]:
                         cols[r], changed = rep, True
@@ -342,8 +396,15 @@ class _Canonicalizer:
         the stack pops the last one first; together these decide which
         split is found first, so reordering them can change the output.
 
-        Two cuts remove only states that hold no split, so the first
-        split found, and the canonical output, do not depend on them:
+        Five cuts remove only states that hold no split.  Whether a cut
+        removes a state depends only on its key, so the first split
+        found, and the canonical output, do not depend on them.  Three
+        read the matroid of the fixed columns: those with no source in
+        the component, which every state places as they are.  In a split
+        each fixed column lies in its side's span and the two spans are
+        independent, so the fixed columns of one side are a separator of
+        that matroid, and each of its blocks (connected components,
+        `_matroid_blocks`) ends on one side.
 
         - A component in which no column has a column strictly above it
           inside the support cannot split.  The matrix is in
@@ -354,6 +415,17 @@ class _Canonicalizer:
           component of `_row_graph_groups` is such a connected graph.
           With every column fixed, a split would be a separation of
           that connected matroid.
+        - Nor can a component whose fixed columns form one block and
+          span it, their rank being its row count `dim`.  The block ends
+          on one side, whose span is then everything, so the other side
+          could hold only zero candidates, and there are none.
+        - A fixed column whose block has a placed member goes only to the
+          side whose span holds the block's first member, its anchor
+          (`_sides`): the block ends on one side, the anchor already lies
+          in one side's span, and spans only grow.
+        - A state with side 1 empty and side 0 spanning the component
+          (`len(b1) == dim`) is dead: no candidate leaves span(b1), so
+          none can start side 1.
         - A state is dead when some column still to be placed has only
           candidates h in span(b1 + b2) but in neither span(b1) nor
           span(b2): neither side can take h now, and deeper states
@@ -385,6 +457,16 @@ class _Canonicalizer:
         heights = self.poset.heights()
         order = sorted(support, key=lambda j: (-heights[j], j))
         add, multiples, coords = self.kernel.add, self.kernel.multiples, self.kernel.coords
+        rows = functools.reduce(operator.or_, (self.kernel.nonzero(self.cols[j]) for j in support))
+        dim = bin(rows).count("1")
+        fixed = [r for r in order if not sources[r]]
+        blocks, rank = _matroid_blocks(self.p, self.k, [self.cols[r] & coords for r in fixed])
+        if len(blocks) == 1 and rank == dim:
+            return None
+        # each fixed column after the first of its block, keyed to that first one
+        anchor_of = {fixed[i]: self.cols[fixed[block[0]]] & coords
+                     for block in blocks for i in block[1:]}
+        anchors = [anchor_of.get(r, 0) for r in order]
         search = row_kernel(self.p, self.k)  # coordinate parts need no tag slots
         reduce, adjoin, extend = search.reduce, search.adjoin, search.extend
         candidates_at: dict[int, list[tuple[int, int]]] = {}
@@ -428,7 +510,7 @@ class _Canonicalizer:
             if b2 and _dead_column(reduce, adjoin, cosets[idx:], b1, b2, comb):
                 continue
             r = order[idx]
-            for side in (0,) if idx == 0 else (0, 1):
+            for side in _sides(reduce, anchors[idx], b1, b2, dim):
                 own = b1 if side == 0 else b2
                 tried = set()
                 for h, col in candidates(r):

@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_canonical_form, reference_coset_reduce
+from conftest import (ReferenceCanonicalizer, reference_canonical_form, reference_coset_reduce,
+                      reference_echelon)
 from posetcode import decomp, oracle
 from posetcode.field import PrimeField
-from posetcode.linear import Code, Matrix, is_generalized_rref, row_reduce_inverse
+from posetcode.linear import Code, Matrix, is_generalized_rref, row_kernel, row_reduce_inverse
 from posetcode.decomp import (
     Decomposition,
     PDecomposition,
@@ -331,15 +332,28 @@ class TestCanonicalForm:
 
     def test_pruned_search_matches_reference(self, monkeypatch):
         # The split search skips components whose columns cannot move and
-        # drops states with a dead column; the reference does neither.
-        # Count both cuts across the sample, so that a sample which never
-        # exercises them does not pass unseen.
-        fired = {"skipped": 0, "pruned": 0}
+        # those whose fixed columns form one spanning block, drops states
+        # with a dead column or with a spanning first side and an empty
+        # second one, and tries a fixed column only on its block's side;
+        # the reference does none of these.  Count every cut across the
+        # sample, so that a sample which never exercises one does not
+        # pass unseen.
+        fired = {"skipped": 0, "pruned": 0, "spanning": 0, "full": 0, "anchored": 0}
         split_component, dead_column = decomp._Canonicalizer._split_component, decomp._dead_column
+        sides_of = decomp._sides
 
         def counting_split_component(self, support):
             inside = set(support)
-            fired["skipped"] += not any(j in inside for r in support for j in self.ups[r])
+            fixed = [r for r in support if not any(j in inside for j in self.ups[r])]
+            if len(fixed) == len(support):
+                fired["skipped"] += 1
+            else:
+                blocks, rank = decomp._matroid_blocks(
+                    self.p, self.k, [self.cols[r] & self.kernel.coords for r in fixed])
+                rows = 0
+                for j in support:
+                    rows |= self.kernel.nonzero(self.cols[j])
+                fired["spanning"] += len(blocks) == 1 and rank == bin(rows).count("1")
             return split_component(self, support)
 
         def counting_dead_column(*args):
@@ -347,8 +361,15 @@ class TestCanonicalForm:
             fired["pruned"] += dead
             return dead
 
+        def counting_sides(reduce, anchor, b1, b2, dim):
+            sides = sides_of(reduce, anchor, b1, b2, dim)
+            fired["full"] += not sides
+            fired["anchored"] += bool(sides and anchor)
+            return sides
+
         monkeypatch.setattr(decomp._Canonicalizer, "_split_component", counting_split_component)
         monkeypatch.setattr(decomp, "_dead_column", counting_dead_column)
+        monkeypatch.setattr(decomp, "_sides", counting_sides)
 
         # q with the largest n at which the unpruned reference stays fast;
         # n is drawn by the seed, uniformly up to that bound
@@ -370,8 +391,67 @@ class TestCanonicalForm:
             assert witness.rows == ref_witness.rows
 
         check()
-        assert fired["skipped"] > 0
-        assert fired["pruned"] > 0
+        assert all(fired.values()), fired
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((2, 3, 5)), st.integers(1, 4), st.data())
+    def test_matroid_blocks_match_the_circuits(self, q, m, data):
+        # two vectors share a block exactly when some circuit (minimal
+        # dependent subset) holds both
+        field = PrimeField(q)
+        vectors = data.draw(st.lists(
+            st.lists(st.integers(0, q - 1), min_size=m, max_size=m), max_size=6))
+
+        def rank(indices):
+            return len(reference_echelon(field, [vectors[i] for i in indices]))
+
+        block_of = list(range(len(vectors)))
+
+        def find(i):
+            while block_of[i] != i:
+                i = block_of[i]
+            return i
+
+        for size in range(1, len(vectors) + 1):
+            for subset in itertools.combinations(range(len(vectors)), size):
+                if rank(subset) < size and all(
+                        rank(subset[:i] + subset[i + 1:]) == size - 1 for i in range(size)):
+                    for i in subset[1:]:
+                        block_of[find(i)] = find(subset[0])
+        expected = {frozenset(i for i in range(len(vectors)) if find(i) == find(j))
+                    for j in range(len(vectors))}
+
+        kernel = row_kernel(q, m)
+        blocks, r = decomp._matroid_blocks(q, m, [kernel.pack(v) for v in vectors])
+        assert {frozenset(block) for block in blocks} == expected
+        assert sorted(i for block in blocks for i in block) == list(range(len(vectors)))
+        assert r == rank(range(len(vectors)))
+
+    def test_spanning_block_of_fixed_columns_cannot_split(self, monkeypatch):
+        # e1, e2, e3 and e1 + e2 + e3 are one circuit, so one block of rank
+        # 3; the fifth column lies below the first and can move, but the
+        # block must sit on one side and span it, leaving the other empty
+        g = Matrix(F2, [[1, 0, 0, 1, 0], [0, 1, 0, 1, 1], [0, 0, 1, 1, 0]])
+        p = Poset.from_relations(5, [(5, 1)])
+        ref = ReferenceCanonicalizer(g, p)
+        ref.coset_passes()
+        assert ref.find_split() is None  # the unpruned search finds no split
+
+        state = decomp._Canonicalizer(g, p)
+        state.coset_passes()
+        assert state.ups[4] == [0] and state.cols[4] & state.kernel.coords  # a nonzero mover
+        blocks, rank = decomp._matroid_blocks(
+            2, 3, [state.cols[r] & state.kernel.coords for r in range(4)])
+        assert blocks == [[0, 1, 2, 3]] and rank == 3
+
+        def no_search(*args):
+            raise AssertionError("the search should end before its first state")
+
+        monkeypatch.setattr(decomp, "_sides", no_search)
+        assert state._split_component(list(range(5))) is None
+        gstar, witness = canonical_form(g, p)
+        assert (gstar, witness) == reference_canonical_form(g, p)
+        assert len(components_from_matrix(gstar).components) == 1
 
     def test_coset_passes_never_lower_the_score_and_settle_for_good(self):
         # canonical_form keeps no snapshot to restore and runs the passes a
@@ -429,6 +509,16 @@ class TestCanonicalForm:
         "gf2-n24-seed5": "47e56ccd335f0036dbb32e166827e442c462513d6ac65b1b1018060bdea61756",
         "gf2-n24-seed6": "53b0e26a6f24d5b721cd73e8b79a8ac0eb53d4715203d89b380f6069c1bb517f",
         "gf2-n24-seed7": "6330aae476571ddc3d9ddde829ad74c1c91fe7259703d93ac84ad9a12d565887",
+        # GF(3), n = 14, k = 7, density 0.1, drawn the same way; recorded
+        # before the search read the blocks of the fixed columns
+        "gf3-n14-seed0": "7303ac3a3eff7781590465130f5f4fc49805ea9cd7118f2101615215fcb62ed1",
+        "gf3-n14-seed1": "03605a04c50e72c4715164c95967fa740da87263952802d95ee9cff8cff65c1d",
+        "gf3-n14-seed2": "322bff7fc90487a0fac5979dd602cda899b9521efe8e22b26330b052a8ea14d0",
+        "gf3-n14-seed3": "36d93bf7c1eecae01965f90705565884502e150f5b5524269572c5a74b61665f",
+        "gf3-n14-seed4": "3e62021a496d39cb925acf070e1eeb3f772559c894b084873228519eba90bfdd",
+        "gf3-n14-seed5": "142af814b9b0d34bb8d3b357441f0dd4e23580f5ea6fe4fd10855bc401aa254a",
+        "gf3-n14-seed6": "dece2a4f95e8e0e387d0e269b6519859d58d3c681405f6f824bd9cc28dbecfae",
+        "gf3-n14-seed7": "6ab3d01ca224ae335125df91415c3d59442682ef26eeb14d6b3e0cf498a82566",
         # GF(7), n = 11, k = 7: the code drawn first; the unpruned search took 77 s
         "gf7-n11": "78584cecacbb61b54cc3f7f327b1511d6553e62f4a21e557066b61d0fa525a12",
         # GF(7), n = 9, density 0.3: 7^4 candidates for one column; the
@@ -458,9 +548,10 @@ class TestCanonicalForm:
             p = random_poset(rng, 8, 0.3)
             code = random_code(rng, PrimeField(q), 8, rng.randint(1, 8))
         else:
+            q, n = (3, 14) if name.startswith("gf3") else (2, 24)
             rng = random.Random(int(name.rsplit("seed", 1)[1]))
-            p = random_poset(rng, 24, 0.1)
-            code = random_code(rng, F2, 24, 12)
+            p = random_poset(rng, n, 0.1)
+            code = random_code(rng, PrimeField(q), n, n // 2)
         gstar, witness = canonical_form(code.gen, p)
         digest = hashlib.sha256(json.dumps([gstar.rows, witness.rows]).encode()).hexdigest()
         assert digest == self.PINNED[name]
