@@ -16,12 +16,9 @@ addition carries out both.  The split search builds its candidates on
 the whole packed columns, so a split it finds is applied by assigning
 them.  It rules out splits of a component from the blocks (connected
 components) of the matroid of its fixed columns, those with no column
-above them in the component: each block ends on one side.  Its two
-side bases are reduced echelon (`RowKernel.extend`):
-they are the keys of the states it has visited, and an echelon basis
-depends only on its span.  Every other basis here is only reduced
-against, tested or counted, so it is triangular (`RowKernel.adjoin`),
-which skips the back-substitution and reduces to the same ints.
+above them in the component: each block ends on one side.  Every basis
+here is triangular (`RowKernel.adjoin`), the split search's two side
+bases too, which key the states it has visited.
 """
 
 from __future__ import annotations
@@ -445,9 +442,10 @@ class _Canonicalizer:
         Only equal reductions give a side one span: red and a.red, a != 1,
         put (1 - a)c in span(b1 + b2), where no candidate extends `comb`.
 
-        The side bases b1 and b2 are reduced echelon, since they key the
-        visited states; the combined basis `comb` and each column's source
-        basis u are triangular, since they are only reduced against.
+        Every basis is triangular: the side bases b1 and b2, the combined
+        basis `comb` and each column's source basis u.  A state's key
+        fixes both spans, and a repeated key is skipped only once its
+        first copy's subtree has been searched, so the dedupe is exact.
         """
         support_set = set(support)
         # the sources of each column: the columns strictly above it in the component
@@ -468,7 +466,7 @@ class _Canonicalizer:
                      for block in blocks for i in block[1:]}
         anchors = [anchor_of.get(r, 0) for r in order]
         search = row_kernel(self.p, self.k)  # coordinate parts need no tag slots
-        reduce, adjoin, extend = search.reduce, search.adjoin, search.extend
+        reduce, adjoin = search.reduce, search.adjoin
         candidates_at: dict[int, list[tuple[int, int]]] = {}
 
         def candidates(r: int) -> list[tuple[int, int]]:
@@ -522,7 +520,7 @@ class _Canonicalizer:
                         new_comb = adjoin(comb, red)
                         if new_comb is None:
                             continue  # would intersect the other side
-                        new_own = extend(own, red)
+                        new_own = adjoin(own, red)
                     else:
                         # span unchanged on its own side: combined is unchanged too
                         new_own, new_comb = own, comb

@@ -8,14 +8,11 @@ Every row reduction runs on one packed-row kernel, `RowKernel`.  A row
 of GF(p)^m is a single Python int holding coordinate i in bits
 [i*w, (i+1)*w), with w = 1 over GF(2) and w = (2p-2).bit_length() + 1
 over odd p.  The kernel adds rows slotwise, takes multiples, reduces a
-row against a basis and grows a basis by one row.  A basis that is only
-reduced against, tested or counted is triangular (`RowKernel.adjoin`):
-rank, code membership, and the coset passes and split search of the
-canonical form.  One whose rows are read or compared is reduced echelon
-(`RowKernel.extend`, which is `adjoin` plus back-substitution): both
-echelon forms, inversion, and the split search's side bases, which key
-its visited states.  In the canonical form each packed int holds one
-column of the generator, with the matching witness row in tag slots.
+row against a basis and grows a basis by one row.  Every basis is
+triangular (`RowKernel.adjoin`); the echelon forms and inversion
+back-substitute one once it is complete (`_echelon`).  In the canonical
+form each packed int holds one column of the generator, with the
+matching witness row in tag slots.
 Columns are packed by one helper, `_packed_columns`.  One enumerator,
 `_lexicographic`, lists a start row plus every combination of some
 packed columns in the lexicographic (`itertools.product`) order of the
@@ -29,7 +26,6 @@ output back as a residue tuple, one table lookup per run of slots
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -164,12 +160,10 @@ def _residue_table(p: int, w: int, length: int) -> dict[int, tuple[int, ...]]:
 Basis = tuple[tuple[int, int], ...]
 """A basis of packed rows as (shift, row) pairs.  Each row's pivot, its
 lowest nonzero coordinate slot, starts at bit `shift`, holds 1, and is
-zero in every later row.  `RowKernel.adjoin` keeps the rows in the order
-they came (triangular); `RowKernel.extend` sorts them by shift and clears
-each pivot in every other row (reduced echelon).  Built from the same
-rows, both have the same pivots, which depend only on the span, and
-reduce a row to the same int, tags included: one combination of their
-independent rows clears those pivots."""
+zero in every later row; `RowKernel.adjoin` keeps the rows in the order
+they came (triangular).  The pivots depend only on the span, and so does
+the int a row reduces to, tags included: one combination of the
+independent basis rows clears those pivots."""
 
 
 class RowKernel:
@@ -189,11 +183,11 @@ class RowKernel:
     of input rows a row is, but they never hold a pivot.  `coords`
     masks the m coordinate slots.
 
-    `add`, `scale`, `reduce`, `adjoin` and `extend` are closures bound
-    once per kernel, so the hot loops load no attribute per call.
+    `add`, `scale`, `reduce` and `adjoin` are closures bound once per
+    kernel, so the hot loops load no attribute per call.
     """
 
-    __slots__ = ("p", "m", "w", "slot", "add", "scale", "reduce", "adjoin", "extend",
+    __slots__ = ("p", "m", "w", "slot", "add", "scale", "reduce", "adjoin",
                  "coords", "_fill", "_top", "_reads")
 
     def __init__(self, p: int, m: int, tags: int = 0):
@@ -247,23 +241,7 @@ class RowKernel:
             f = row >> shift & slot
             return basis + ((shift, row if f == 1 else scale(row, pow(f, -1, p))),)
 
-        def extend(basis: Basis, row: int) -> Basis | None:
-            """The reduced echelon basis of the span of basis and row, or
-            None if the coordinates of row depend on the basis."""
-            grown = adjoin(basis, row)
-            if grown is None:
-                return None
-            shift, row = grown[-1]
-            out = []
-            for s, b in basis:
-                f = b >> shift & slot
-                if f:
-                    b = add(b, row if f == minus_one else scale(row, p - f))
-                out.append((s, b))
-            bisect.insort(out, (shift, row))
-            return tuple(out)
-
-        self.scale, self.reduce, self.adjoin, self.extend = scale, reduce, adjoin, extend
+        self.scale, self.reduce, self.adjoin = scale, reduce, adjoin
 
     def pack(self, coords: Sequence[int]) -> int:
         """One int from residues in [0, p), coordinate 0 in the lowest slot."""
@@ -421,10 +399,11 @@ class Matrix:
         return len(_triangular(self.field, self.rows, self.n)[1])
 
 
-def _triangular(field: PrimeField, rows: Sequence[Sequence[int]], n: int) -> tuple[RowKernel, Basis]:
-    """A triangular basis of the span of rows of length n, for reduction
-    and counting only; rows dependent on earlier ones are dropped."""
-    kernel = row_kernel(field.p, n)
+def _triangular(field: PrimeField, rows: Sequence[Sequence[int]], m: int) -> tuple[RowKernel, Basis]:
+    """A triangular basis of the span of the rows with pivots among the
+    first m coordinates; rows dependent there are dropped, and
+    coordinates past m ride along as tags."""
+    kernel = row_kernel(field.p, m, (len(rows[0]) if rows else m) - m)
     basis: Basis = ()
     for row in rows:
         basis = kernel.adjoin(basis, kernel.pack(row)) or basis
@@ -432,14 +411,18 @@ def _triangular(field: PrimeField, rows: Sequence[Sequence[int]], n: int) -> tup
 
 
 def _echelon(field: PrimeField, rows: Sequence[Sequence[int]], m: int) -> tuple[RowKernel, Basis]:
-    """Reduced echelon basis of the rows with pivots among the first m
-    coordinates; rows dependent there are dropped, and coordinates past
-    m ride along as tags."""
-    kernel = row_kernel(field.p, m, (len(rows[0]) if rows else m) - m)
-    basis: Basis = ()
-    for row in rows:
-        basis = kernel.extend(basis, kernel.pack(row)) or basis
-    return kernel, basis
+    """The reduced echelon basis of `_triangular`'s span, sorted by pivot.
+
+    Each triangular row is zero at every earlier pivot, so walking the
+    rows last first and reducing each against the rows already finished
+    clears every other pivot.  The rows, tags included, depend only on
+    the span, as the kept rows are independent on their coordinates.
+    """
+    kernel, basis = _triangular(field, rows, m)
+    done: list[tuple[int, int]] = []
+    for shift, row in reversed(basis):
+        done.append((shift, kernel.reduce(row, done)))
+    return kernel, tuple(sorted(done))
 
 
 def classical_rref(g: Matrix) -> tuple[Matrix, tuple[int, ...]]:

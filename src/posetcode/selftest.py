@@ -7,10 +7,13 @@ fails.  `field-axioms` runs over GF(2), GF(3) and GF(5).
 GF(3), where a sign error shows: every decoded word must be a codeword,
 and every canonical generator right-most-pivot reduced with unit pivots
 and a witness that `validate_p_decomposition` accepts.
+`radius-brackets` draws over GF(2) and then GF(3), where a Gray walk
+stepping in base 2 shows: every antichain `min_distance` must equal the
+least weight of the literal `Code.codewords` walk.
 `neighbor-extremality` involves no field.  `degree-oracle-agreement`
 and `isometry-group` stay at GF(2), where their oracles enumerate
-every weight-preserving map; `weight-axioms` and `radius-brackets`
-draw over GF(2) only as well.
+every weight-preserving map; `weight-axioms` draws over GF(2) only as
+well.
 """
 
 from __future__ import annotations
@@ -171,18 +174,24 @@ def _profile_invariance(rng: random.Random) -> bool:
 
 
 def _radius_brackets(rng: random.Random, budget: int) -> bool:
-    f2 = PrimeField(2)
-    for _ in range(6):
-        n = rng.randint(2, 6)
-        k = rng.randint(1, min(3, n))
-        code = random_code(rng, f2, n, k)
-        poset = random_poset(rng, n)
-        bounds = packing_radius_bounds(code, poset, budget)
-        if not bounds.lower <= bounds.exact <= bounds.upper:
-            return False
-        hamming = packing_radius_exact(code, Poset.antichain(n), budget)
-        if hamming != (min_distance(code, Poset.antichain(n), budget) - 1) // 2:
-            return False
+    # GF(3) shows a Gray walk stepping in the wrong base, which GF(2)
+    # hides; the literal codeword walk checks the antichain distance
+    for field, max_n, max_k, draws in ((PrimeField(2), 6, 3, 6), (PrimeField(3), 5, 2, 3)):
+        for _ in range(draws):
+            n = rng.randint(2, max_n)
+            k = rng.randint(1, min(max_k, n))
+            code = random_code(rng, field, n, k)
+            poset = random_poset(rng, n)
+            bounds = packing_radius_bounds(code, poset, budget)
+            if not bounds.lower <= bounds.exact <= bounds.upper:
+                return False
+            antichain = Poset.antichain(n)
+            distance = min_distance(code, antichain, budget)
+            words = (w for w in code.codewords(budget) if not w.is_zero())
+            if distance != min(p_weight(w, antichain) for w in words):
+                return False
+            if packing_radius_exact(code, antichain, budget) != (distance - 1) // 2:
+                return False
     return True
 
 

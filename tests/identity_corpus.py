@@ -12,7 +12,9 @@ directory, runs the corpus once
 with this checkout's `src` and once with that one (each in its own
 interpreter, with the given `src` alone on PYTHONPATH), prints each
 family as `same` or `DIFFERENT`, and exits 1 on any difference: a
-refactor that keeps every output keeps every digest.  Only public
+refactor that keeps every output keeps every digest.  When git cannot
+archive REV (outside a checkout, or an unknown revision) it prints
+`error:` with git's message and exits 2.  Only public
 outputs are read, so private layout is free to change.
 
 The corpus is every (q, order kind) cell below, with n up to 9, 6, 5
@@ -212,10 +214,15 @@ def _digests_of(src: Path, per_cell_flag: list[str]) -> dict[str, str]:
 
 def against(rev: str, per_cell_flag: list[str]) -> int:
     """Print each family as `same` or `DIFFERENT` between this checkout
-    and revision `rev`; 1 on any difference."""
+    and revision `rev`; 1 on any difference, 2 when git cannot archive
+    `rev` (no checkout, or an unknown revision)."""
     root = Path(__file__).resolve().parents[1]
-    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
-                             capture_output=True, check=True).stdout
+    try:
+        archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev, "src"],
+                                 capture_output=True, check=True).stdout
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {exc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp)

@@ -10,7 +10,7 @@ neighbor, a cut or a radius changes one of them.
 this tree and at a git revision and compares them.
 """
 
-from identity_corpus import SLICE_PER_CELL, digests
+from identity_corpus import SLICE_PER_CELL, against, digests
 
 SLICE_DIGESTS = {
     "instances": "86b66ebd3c1c4a96b436dfe5db1d9424512fb1fdf32ea417ab6b509a30e4a563",
@@ -32,3 +32,10 @@ SLICE_DIGESTS = {
 
 def test_identity_corpus_slice_matches_recorded_digests():
     assert digests(SLICE_PER_CELL) == SLICE_DIGESTS
+
+
+def test_against_an_unknown_revision_exits_2_with_gits_message(capsys):
+    assert against("no-such-revision-for-the-corpus", ["--slice"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip()) > len("error:")

@@ -25,7 +25,7 @@ from posetcode.linear import (
     support,
 )
 from posetcode.poset import Poset, leq_poset
-from posetcode.randgen import random_code, random_matrix, random_poset
+from posetcode.randgen import random_code, random_invertible, random_matrix, random_poset
 
 F2 = PrimeField(2)
 
@@ -327,7 +327,7 @@ def test_kernel_pack_add_and_multiples_match_residues(p, data):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(KERNEL_PRIMES), st.data())
-def test_kernel_extend_builds_the_classical_rref(p, data):
+def test_kernel_echelon_builds_the_classical_rref(p, data):
     field = PrimeField(p)
     m = data.draw(st.integers(1, 8))
     rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m), max_size=6))
@@ -336,16 +336,7 @@ def test_kernel_extend_builds_the_classical_rref(p, data):
         if rows:
             c = data.draw(st.integers(0, p - 1))
             rows.append([(c * x + y) % p for x, y in zip(rows[0], rows[-1])])
-    kernel = RowKernel(p, m)
-    basis = ()
-    for row in rows:
-        packed = kernel.pack(row)
-        grown = kernel.extend(basis, packed)
-        if grown is None:
-            assert kernel.reduce(packed, basis) == 0
-        else:
-            assert len(grown) == len(basis) + 1
-            basis = grown
+    kernel, basis = _echelon(field, rows, m)
     expected = reference_echelon(field, rows)
     assert [kernel.unpack(b) for _, b in basis] == expected
     if rows:
@@ -359,9 +350,9 @@ def test_kernel_extend_builds_the_classical_rref(p, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((2, 3, 5, 7)), st.data())
-def test_kernel_adjoin_keeps_the_rows_and_reductions_of_extend(p, data):
-    # a triangular basis keeps the rows a reduced echelon one keeps, and
-    # reduces every row to the same packed int, tag slots included
+def test_kernel_adjoin_keeps_the_rows_and_reductions_of_echelon(p, data):
+    # `_echelon` keeps the rows a triangular basis keeps, and both reduce
+    # every row to the same packed int, tag slots included
     field = PrimeField(p)
     m = data.draw(st.integers(1, 7))
     tags = data.draw(st.integers(0, m))
@@ -373,16 +364,17 @@ def test_kernel_adjoin_keeps_the_rows_and_reductions_of_extend(p, data):
         c = data.draw(st.integers(0, p - 1))
         combined = [(c * x + y) % p for x, y in zip(a[:m], b[:m])]
         rows.insert(data.draw(st.integers(0, len(rows))), combined + _coords(data.draw, p, tags))
-    triangular, echelon = (), ()
-    for row in rows:
-        packed = kernel.pack(row)
-        adjoined, extended = kernel.adjoin(triangular, packed), kernel.extend(echelon, packed)
-        assert (adjoined is None) == (extended is None)
-        triangular, echelon = adjoined or triangular, extended or echelon
+    triangular = ()
+    for i, row in enumerate(rows):
+        adjoined = kernel.adjoin(triangular, kernel.pack(row))
+        kept = len(_echelon(field, rows[: i + 1], m)[1])
+        assert kept == len(triangular) + (adjoined is not None)
+        triangular = adjoined or triangular
+    echelon = _echelon(field, rows, m)[1]
     for v in rows + [_coords(data.draw, p, m + tags) for _ in range(4)]:
         assert kernel.reduce(kernel.pack(v), triangular) == kernel.reduce(kernel.pack(v), echelon)
     if rows:
-        assert Matrix(field, [r[:m] for r in rows]).rank() == len(_echelon(field, rows, m)[1])
+        assert Matrix(field, [r[:m] for r in rows]).rank() == len(echelon)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 17))
@@ -416,3 +408,15 @@ def test_kernel_tags_carry_the_inverse(p):
         assert m @ invert_matrix(m) == Matrix.identity(field, n)
         anti_identity = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
         assert row_reduce_inverse(m) == Matrix(field, anti_identity)
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (3, 0)])
+def test_random_code_rejects_a_dimension_outside_one_to_n(n, k):
+    # k > n once resampled forever: no k x n matrix has rank k
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        random_code(random.Random(0), F2, n, k)
+
+
+def test_random_invertible_rejects_an_empty_size():
+    with pytest.raises(ValueError, match="k >= 1"):
+        random_invertible(random.Random(0), F2, 0)
