@@ -57,7 +57,7 @@ from .linear import (
     invert_matrix,
     row_kernel,
 )
-from .poset import Poset, _elements_mask, _row_graph_groups, cut_levels
+from .poset import Poset, _downs, _elements_mask, _row_graph_groups, cut_levels
 
 
 def parity_check(code: Code) -> Matrix:
@@ -263,7 +263,8 @@ def _build_decoder(
 
 def _coordinate_ideals(poset: Poset, coordinates: Iterable[int]) -> list[int]:
     """Ideal bitmask of each 1-indexed coordinate."""
-    return [poset.ideal_mask(1 << (i - 1)) for i in coordinates]
+    downs = _downs(poset)
+    return [downs[i - 1] for i in coordinates]
 
 
 def build_table(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET) -> SyndromeTable:

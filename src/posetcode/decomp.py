@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .linear import (Basis, Code, Matrix, RowKernel, _lexicographic, _packed_columns,
-                     _triangular, is_generalized_rref, p_weight, row_kernel)
-from .poset import Poset, _mask_to_set, _nonzero_mask, _row_graph_groups, _strict_ups
+                     _residue_matrix, _triangular, is_generalized_rref, p_weight, row_kernel)
+from .poset import Poset, _downs, _mask_to_set, _nonzero_mask, _row_graph_groups, _strict_ups
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def components_from_matrix(g: Matrix) -> Decomposition:
     code = Code(g)  # checks the rank before any component does
     masks = [_nonzero_mask(row) for row in g.rows]
     components = tuple(
-        Code(Matrix(g.field, [g.rows[r] for r in group], n=g.n))
+        Code(_residue_matrix(g.field, tuple(g.rows[r] for r in group), g.n))
         for group in _row_graph_groups(masks)
     )
     pointer = _mask_to_set(((1 << g.n) - 1) & ~functools.reduce(operator.or_, masks))
@@ -289,22 +289,31 @@ class _Canonicalizer:
         Pivot columns are picked greedily from the right, and every
         column is replaced by its coordinates over them, the i-th pivot
         giving row i.  Rejects rank-deficient rows.
+
+        Only the n - k columns that are not pivots are reduced.  A pivot
+        column is set to the negation of the tag it was adjoined with,
+        which is what reducing it would return: the adjoined row (column
+        plus tag) reduces to zero, reduction is linear, and the tag, with
+        no coordinate slot set, reduces to itself.
         """
         k, p, coords = self.k, self.p, self.kernel.coords
         scratch = row_kernel(p, k, k)
+        shift, scale, reduce = scratch.w * k, scratch.scale, scratch.reduce
         basis: Basis = ()
-        rank = 0
-        for c in reversed(self.cols):
-            if rank == k:
+        pivots: dict[int, int] = {}  # pivot column -> its coordinates over the pivots
+        for j in range(self.n - 1, -1, -1):
+            if len(basis) == k:
                 break
             # tagging pivot i with -1 leaves +(coordinates) in the tags of a reduced column
-            grown = scratch.adjoin(basis, c & coords | (p - 1) * scratch.unit(k + rank))
+            tag = (p - 1) * scratch.unit(k + len(basis))
+            grown = scratch.adjoin(basis, self.cols[j] & coords | tag)
             if grown is not None:
-                basis, rank = grown, rank + 1
-        if rank < k:
-            raise ValueError(f"rank deficiency: rank {rank} < {k} rows")
-        shift, reduce = scratch.w * k, scratch.reduce
-        self.cols = [c & ~coords | reduce(c & coords, basis) >> shift for c in self.cols]
+                basis = grown
+                pivots[j] = scale(tag, p - 1) >> shift
+        if len(basis) < k:
+            raise ValueError(f"rank deficiency: rank {len(basis)} < {k} rows")
+        self.cols = [c & ~coords | (pivots[j] if j in pivots else reduce(c & coords, basis) >> shift)
+                     for j, c in enumerate(self.cols)]
 
     def score(self) -> int:
         """Component count plus null-column count; the degree up to a
@@ -317,16 +326,23 @@ class _Canonicalizer:
         passes; True once a pass changes nothing, False on a repeat.
 
         Each pass starts on a reduced matrix, which re-reduction would
-        leave as it is, so a pass that changed nothing skips it.  The
-        representative rule and the row reduction can chase each other
-        in a cycle; a repeated matrix presents the same code, and the
-        accumulated witness remains valid for it, so the first repeat is
-        a sound deterministic stopping point.
+        leave as it is, so a pass that changed nothing skips it.  A pass
+        whose output re-reduction leaves as it is is the last one too.  A
+        move on column j adds only columns above j, so above r when j is:
+        a pass keeps the span of each column's above-set fixed.  The
+        pivots of a reduction basis depend only on that span, each column
+        left the pass zero at its above-set's pivots, and a column zero at
+        the pivots reduces to itself, so another pass would change
+        nothing.  Nor could it meet a repeat: every state the loop started
+        from led to a changing pass.  The representative rule and the row reduction can
+        chase each other in a cycle; a repeated matrix presents the same
+        code, and the accumulated witness remains valid for it, so the
+        first repeat is a sound deterministic stopping point.
 
         On either return each nonzero column lies outside the span of the
-        columns strictly above it: a pass keeps that span fixed (a move on
-        column j adds columns above j, so above r when j is) and reduces the
-        column modulo it, and row reduction keeps every linear relation.
+        columns strictly above it: a pass keeps that span fixed and
+        reduces the column modulo it, and row reduction keeps every
+        linear relation.
         """
         seen: set[tuple[int, ...]] = set()
         coords = self.kernel.coords
@@ -347,6 +363,8 @@ class _Canonicalizer:
             if not changed:
                 return True
             self.rereduce()
+            if self.cols == cols:
+                return True
 
     def apply_split(self, columns: dict[int, int]) -> None:
         """Replace the chosen columns, each by a whole packed column
@@ -446,6 +464,21 @@ class _Canonicalizer:
         basis `comb` and each column's source basis u.  A state's key
         fixes both spans, and a repeated key is skipped only once its
         first copy's subtree has been searched, so the dedupe is exact.
+
+        Every full placement popped is a split, with side 1 nonempty.
+        Each candidate is its column plus columns placed before it, so the
+        chosen candidates span what the component's columns span: all
+        `dim` rows, as the reduced matrix holds the unit column of each.
+        A full placement with side 1 empty thus ends with a column that
+        raised side 0 from rank `dim - 1` to `dim`; a state whose side 0
+        has rank `dim` and side 1 none has no children.  That column lies
+        outside the span of all the others: a coloop, in no circuit, so a
+        block of its own if it is fixed, and it has no anchor.  `_sides`
+        gives it (0, 1), and its first candidate, outside span(b1) =
+        span(comb), starts side 1.  That sibling is a complete split,
+        pushed after the side 0 placements and popped first.  Were this
+        wrong, the applied split would not raise the score, and
+        `canonical_form` would raise.
         """
         support_set = set(support)
         # the sources of each column: the columns strictly above it in the component
@@ -493,13 +526,11 @@ class _Canonicalizer:
         while stack:
             idx, b1, b2, comb, chosen = stack.pop()
             if idx == len(order):
-                if b2:
-                    columns = {}
-                    while chosen is not None:
-                        chosen, r, col = chosen
-                        columns[r] = col
-                    return columns
-                continue
+                columns = {}
+                while chosen is not None:
+                    chosen, r, col = chosen
+                    columns[r] = col
+                return columns
             key = (idx, b1, b2)
             if key in seen:
                 continue
@@ -554,10 +585,13 @@ def canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:
         if state.score() <= before:
             raise RuntimeError("split application did not refine the decomposition")
         state.coset_passes()
-    kernel, k, n = state.kernel, state.k, state.n
+    # columns hold generator columns in their coordinate slots and witness
+    # rows in their tag slots, which a width-n kernel reads once shifted down
+    kernel, n, shift = state.kernel, state.n, state.kernel.w * state.k
+    tags = row_kernel(state.p, n)
     return (
-        Matrix(state.field, zip(*(kernel.unpack(c) for c in state.cols)), n=n),
-        Matrix(state.field, (kernel.unpack(c, k, k + n) for c in state.cols)),
+        _residue_matrix(state.field, tuple(zip(*map(kernel.residues, state.cols))), n),
+        _residue_matrix(state.field, tuple(tags.residues(c >> shift) for c in state.cols), n),
     )
 
 
@@ -610,8 +644,7 @@ def witness_in_reducing_group(witness: Matrix, poset: Poset) -> bool:
     image e_j maps into span{e_i : i <= j} with a nonzero e_j part."""
     if witness.k != witness.n or witness.n != poset.n:
         return False
-    for j in range(witness.n):
-        below = poset.ideal_mask(1 << j)
+    for j, below in enumerate(_downs(poset)):
         if not witness.rows[j][j] or any(
             row[j] and not below >> i & 1 for i, row in enumerate(witness.rows)
         ):

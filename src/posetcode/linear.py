@@ -21,7 +21,9 @@ keeps, fills the decoders' chunk tables, and sets the order in which
 the split search tries candidates.  The decoders read their packed
 output back as a residue tuple, one table lookup per run of slots
 (`RowKernel.residues`), into a `Vector` that is not reduced again
-(`_residue_vector`).
+(`_residue_vector`).  The canonical form reads its generator and witness
+the same way, into matrices that are not reduced again either
+(`_residue_matrix`), as are the decomposition's components.
 """
 
 from __future__ import annotations
@@ -212,13 +214,21 @@ class RowKernel:
         ones = coords // slot  # bit 0 of every coordinate slot
         self._fill, self._top = ones * (slot >> 1), ones << (w - 1)
         minus_one = p - 1
+        # c -> the binary digits of c after its leading 1, as booleans; set
+        # on the first use of each c, so GF(65521) builds no 65,520 ladders
+        ladders: dict[int, tuple[bool, ...]] = {}
 
         def scale(row: int, c: int) -> int:
-            """c * row for 0 < c < p, by doubling and adding."""
+            """c * row for 0 < c < p, by doubling and adding: one doubling
+            per digit of c's ladder, then row added when the digit is 1."""
+            try:
+                ladder = ladders[c]
+            except KeyError:
+                ladder = ladders[c] = tuple(bit == "1" for bit in bin(c)[3:])
             out = row
-            for bit in bin(c)[3:]:
+            for one in ladder:
                 out = add(out, out)
-                if bit == "1":
+                if one:
                     out = add(out, row)
             return out
 
@@ -258,9 +268,10 @@ class RowKernel:
         return [row >> shift & slot for shift in range(start * w, stop * w, w)]
 
     def residues(self, row: int) -> tuple[int, ...]:
-        """The m coordinates of a row whose slots are normalized and whose
-        tag slots are zero, as a tuple: one table read per run of c
-        slots, with c as in `_chunk_slots`.
+        """The m coordinates of a row whose coordinate slots are normalized,
+        as a tuple: one table read per run of c slots, with c as in
+        `_chunk_slots`.  The runs mask exactly the m coordinate slots, so
+        the tag slots may hold anything.
 
         The (shift, mask, table) of each run are set on the first read,
         so kernels that never read residues build no tables.
@@ -324,7 +335,10 @@ class Matrix:
 
     def __init__(self, field: PrimeField, rows: Iterable[Iterable[int]], n: int | None = None):
         modulus = itertools.repeat(field.p)  # endless, so every row can share it
-        frozen = tuple(tuple(map(operator.mod, row, modulus)) for row in rows)
+        self._store(field, tuple(tuple(map(operator.mod, row, modulus)) for row in rows), n)
+
+    def _store(self, field: PrimeField, frozen: tuple[tuple[int, ...], ...], n: int | None) -> None:
+        """Check the widths of rows of residues in [0, p) and keep them."""
         if frozen:
             width = len(frozen[0])
             if any(len(r) != width for r in frozen):
@@ -397,6 +411,16 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_triangular(self.field, self.rows, self.n)[1])
+
+
+def _residue_matrix(field: PrimeField, rows: tuple[tuple[int, ...], ...],
+                    n: int | None = None) -> Matrix:
+    """A Matrix of residue tuples already in [0, p), kept as given, with the
+    public constructor's width checks; that constructor would reduce every
+    entry mod p again.  The matrix counterpart of `_residue_vector`."""
+    m = object.__new__(Matrix)
+    m._store(field, rows, n)
+    return m
 
 
 def _triangular(field: PrimeField, rows: Sequence[Sequence[int]], m: int) -> tuple[RowKernel, Basis]:

@@ -9,8 +9,8 @@ It also hosts the bit-mask helpers the other modules share: `_bits`,
 `_nonzero_mask`, `_elements_mask` and `_mask_to_set` convert between
 masks and coordinates, `_row_graph_groups` groups indices whose masks
 intersect (code components, plan groups and the levels between
-complete cuts), and `_strict_ups` lists the elements strictly above
-each element.
+complete cuts), `_strict_ups` lists the elements strictly above each
+element, and `_downs` gives the down-set of each element as a mask.
 """
 
 from __future__ import annotations
@@ -323,6 +323,12 @@ def _row_graph_groups(masks: Sequence[int]) -> list[list[int]]:
 def _strict_ups(poset: Poset) -> list[list[int]]:
     """For each 0-indexed element r, the 0-indexed elements strictly above it."""
     return [list(_bits(up & ~(1 << r))) for r, up in enumerate(poset._up)]
+
+
+def _downs(poset: Poset) -> tuple[int, ...]:
+    """For each 0-indexed element, the mask of the elements at or below it:
+    the stored down-sets `Poset.ideal_mask` takes unions of."""
+    return poset._down
 
 
 def _find_cycle(pairs: list[tuple[int, int]], a: int, b: int) -> list[int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import maximal_p_decomposition
 from .linear import Code, _word_supports
-from .poset import Poset, _bits, lower_neighbor, upper_neighbor
+from .poset import Poset, _bits, _downs, lower_neighbor, upper_neighbor
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
     """
     poset._check_ground_set(code.n)
     check_budget("packing radius codeword enumeration", code.q**code.k, budget)
-    downs = [poset.ideal_mask(1 << i) for i in range(code.n)]
+    downs = _downs(poset)
     queue = sorted(
         (_lower_bound(downs, top), top.bit_count(), top)
         for top in {poset.maximal_mask(s) for s in set(_word_supports(code))}
@@ -75,7 +75,7 @@ def packing_radius_exact(code: Code, poset: Poset, budget: int = DEFAULT_BUDGET)
     return best - 1
 
 
-def _lower_bound(downs: list[int], top: int) -> int:
+def _lower_bound(downs: tuple[int, ...], top: int) -> int:
     """max(ceil(|<top>| / 2), largest |<m>| for m in top)."""
     whole = largest = 0
     for i in _bits(top):
@@ -84,7 +84,7 @@ def _lower_bound(downs: list[int], top: int) -> int:
     return max((whole.bit_count() + 1) // 2, largest)
 
 
-def _split_meet(downs: list[int], top: int) -> int:
+def _split_meet(downs: tuple[int, ...], top: int) -> int:
     """min over B subset of top, holding its lowest element, of
     max(|<B>|, |<top minus B>|)."""
     low = top & -top

@@ -497,6 +497,59 @@ class TestCanonicalForm:
                     passes(state)
         assert repeats > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((2, 3, 5, 7)), st.data())
+    def test_rereduce_matches_reducing_every_column(self, q, data):
+        # rereduce sets each pivot column from its tag and reduces only the
+        # rest; the right-most-pivot reduced form is unique, so it must be
+        # row_reduce_inverse's, and the witness tags must stay as they were
+        field = PrimeField(q)
+        n = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, n))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        g = random_code(rng, field, n, k).gen
+        state = decomp._Canonicalizer(g, Poset.antichain(n))
+        kernel = state.kernel
+        tags = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        state.cols = [kernel.pack(list(g.column(j)) + tags[j]) for j in range(n)]
+        state.rereduce()
+        reduced = row_reduce_inverse(g)
+        assert [kernel.unpack(c) for c in state.cols] == [list(reduced.column(j)) for j in range(n)]
+        assert [kernel.unpack(c, k, k + n) for c in state.cols] == tags
+
+    @pytest.mark.parametrize("q, rows, relations, one_pass", [
+        # a pass moves column 1 onto e2; the rows stay reduced, so the
+        # pass is the last, and a second one would re-read column 1
+        (2, [[1, 0, 1], [1, 1, 0]], [(1, 3)], True),
+        # a pass moves columns and re-reduction moves them again, so the
+        # passes go on; stopping after the first re-reduction changes the
+        # canonical form
+        (3, [[0, 2, 1, 2], [1, 1, 1, 2]], [(4, 1)], False),
+    ])
+    def test_coset_passes_stop_once_rereduction_changes_nothing(self, monkeypatch, q, rows,
+                                                                relations, one_pass):
+        field = PrimeField(q)
+        g, p = Matrix(field, rows), Poset.from_relations(len(rows[0]), relations)
+        state = decomp._Canonicalizer(g, p)
+        coords = state.kernel.coords
+        calls = []
+        representative = decomp._coset_representative
+        monkeypatch.setattr(decomp, "_coset_representative",
+                            lambda *args: calls.append(args[2]) or representative(*args))
+        # each pass reads every column with a column above it and nonzero coordinates
+        readable = [r for r in range(state.n) if state.ups[r] and state.cols[r] & coords]
+        settled = state.coset_passes()
+        if one_pass:
+            assert settled and calls == readable[::-1]
+            # a second pass would read a column, and change nothing
+            cols = list(state.cols)
+            assert any(state.ups[r] and state.cols[r] & coords for r in range(state.n))
+            assert state.coset_passes() and state.cols == cols
+        else:
+            assert len(calls) > len(readable)
+        monkeypatch.undo()
+        assert canonical_form(g, p) == reference_canonical_form(g, p)
+
     # sha256 of [rows of the canonical matrix, rows of the witness] as JSON,
     # recorded from the search before it was pruned, and (the two "repeat"
     # instances) from a driver that always ran the coset passes twice

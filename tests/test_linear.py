@@ -14,6 +14,7 @@ from posetcode.linear import (
     RowKernel,
     Vector,
     _echelon,
+    _residue_matrix,
     classical_rref,
     invert_matrix,
     is_generalized_rref,
@@ -393,6 +394,44 @@ def test_kernel_residues_read_normalized_rows_as_unpack_does(p):
         for row in rows:
             read = kernel.residues(row)
             assert type(read) is tuple and read == tuple(kernel.unpack(row))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_kernel_scale_matches_multiples_for_every_multiplier(p):
+    # each multiplier's doubling ladder is built on its first use; the
+    # second round reads every ladder back
+    rng = random.Random(p)
+    kernel = RowKernel(p, 6, 3)
+    rows = [kernel.pack([rng.randrange(p) for _ in range(9)]) for _ in range(20)]
+    for _ in range(2):
+        for row in rows:
+            multiples = kernel.multiples(row)
+            assert [kernel.scale(row, c) for c in range(1, p)] == multiples[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.data())
+def test_residue_matrix_equals_the_public_matrix(p, data):
+    field = PrimeField(p)
+    k = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(0, 6))
+    rows = tuple(tuple(_coords(data.draw, p, n)) for _ in range(k))
+    private, public = _residue_matrix(field, rows, n), Matrix(field, rows, n=n)
+    assert (private.rows, private.k, private.n, private.field) == (rows, k, n, field)
+    assert private == public and hash(private) == hash(public) and repr(private) == repr(public)
+    if rows:
+        assert _residue_matrix(field, rows) == public
+
+
+@pytest.mark.parametrize("rows, n, message", [
+    (((0, 1), (1,)), None, "matrix rows must all have the same length"),
+    (((0, 1), (1, 1)), 3, "declared width 3 does not match rows of length 2"),
+    ((), None, "empty matrix needs an explicit column count"),
+])
+def test_residue_matrix_keeps_the_width_checks(rows, n, message):
+    for build in (_residue_matrix, Matrix):
+        with pytest.raises(ValueError, match=message):
+            build(F2, rows, n)
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)

@@ -7,6 +7,7 @@ from conftest import brute_complete_cuts, brute_heights, brute_ideal
 from posetcode import oracle
 from posetcode.poset import (
     Poset,
+    _downs,
     complete_cuts,
     cut_levels,
     leq_poset,
@@ -76,6 +77,14 @@ def test_ideal_matches_brute_closure():
         seed = {a for a in range(1, n + 1) if rng.random() < 0.4}
         assert p.ideal(seed) == frozenset(brute_ideal(p, seed))
         assert p.is_ideal(p.ideal(seed))
+
+
+def test_downs_are_the_ideals_of_single_elements():
+    rng = random.Random(5)
+    for _ in range(25):
+        n = rng.randint(1, 8)
+        p = random_poset(rng, n, rng.choice((0.2, 0.5)))
+        assert _downs(p) == tuple(p.ideal_mask(1 << i) for i in range(n))
 
 
 def test_maximal_elements_examples():
