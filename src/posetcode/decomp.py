@@ -334,10 +334,11 @@ class _Canonicalizer:
         left the pass zero at its above-set's pivots, and a column zero at
         the pivots reduces to itself, so another pass would change
         nothing.  Nor could it meet a repeat: every state the loop started
-        from led to a changing pass.  The representative rule and the row reduction can
-        chase each other in a cycle; a repeated matrix presents the same
-        code, and the accumulated witness remains valid for it, so the
-        first repeat is a sound deterministic stopping point.
+        from led to a changing pass.  The representative rule and the row
+        reduction can chase each other in a cycle; a repeated matrix
+        presents the same code, and the accumulated witness remains valid
+        for it, so the first repeat is a sound deterministic stopping
+        point.
 
         On either return each nonzero column lies outside the span of the
         columns strictly above it: a pass keeps that span fixed and
