@@ -14,11 +14,12 @@ and row j of the witness in its tag slots.  A move on column j takes
 the same combination of witness rows as of columns, so a single kernel
 addition carries out both.  The split search builds its candidates on
 the whole packed columns, so a split it finds is applied by assigning
-them.  It rules out splits of a component from the blocks (connected
-components) of the matroid of its fixed columns, those with no column
-above them in the component: each block ends on one side.  Every basis
-here is triangular (`RowKernel.adjoin`), the split search's two side
-bases too, which key the states it has visited.
+them.  It first decides whether a component splits at all, placing its
+fixed columns (those with no column above them in the component)
+first, and searches in height order only a component that does; the
+verdict cannot depend on the order, as `_Canonicalizer._split_component`
+shows.  Every basis here is triangular (`RowKernel.adjoin`), the split
+search's two side bases too, which key the states it has visited.
 """
 
 from __future__ import annotations
@@ -170,51 +171,18 @@ def _coset_representative(
     return kernel.reduce(cols[r], basis)
 
 
-def _matroid_blocks(p: int, m: int, vectors: Sequence[int]) -> tuple[list[list[int]], int]:
-    """The connected components ("blocks") of the matroid of some packed
-    vectors of GF(p)^m, as index lists in order of their smallest, and
-    its rank.
-
-    The vectors are adjoined in order to a triangular basis whose i-th
-    row carries tag slot i, as `_Canonicalizer.rereduce` tags its pivots.
-    A vector that joins the basis gets its own slot as mask; one that
-    does not reduces to zero coordinates, and its tags then name the
-    basis vectors of its fundamental circuit.  Two elements share a
-    block exactly when a chain of fundamental circuits joins them, so
-    `_row_graph_groups` on these masks gives the blocks.  A zero vector
-    (a loop) stands alone.
-    """
-    scratch = row_kernel(p, m, m)
-    shift, unit, nonzero = scratch.w * m, scratch.unit, scratch.nonzero
-    basis: Basis = ()
-    masks = []
-    for v in vectors:
-        grown = scratch.adjoin(basis, v | unit(m + len(basis)))
-        if grown is None:
-            masks.append(nonzero(scratch.reduce(v, basis) >> shift))
-        else:
-            masks.append(nonzero(unit(len(basis))))
-            basis = grown
-    return _row_graph_groups(masks), len(basis)
-
-
-def _sides(reduce: Callable[[int, Basis], int], anchor: int, b1: Basis, b2: Basis,
-           dim: int) -> tuple[int, ...]:
+def _sides(b1: Basis, b2: Basis, dim: int) -> tuple[int, ...]:
     """The sides on which the split search tries the next column, or ()
     when the state holds no split.
 
     The first column goes to side 0.  With side 1 still empty, a side 0
-    spanning all `dim` rows leaves no candidate a place on side 1.  A
-    fixed column with a nonzero `anchor`, the first placed member of its
-    block, goes to the side whose span holds the anchor.
+    spanning all `dim` rows leaves no candidate a place on side 1.
     """
     if not b2:
         if not b1:
             return (0,)
         if len(b1) == dim:
             return ()
-    if anchor:
-        return (1,) if reduce(anchor, b1) else (0,)
     return (0, 1)
 
 
@@ -401,85 +369,80 @@ class _Canonicalizer:
         return None
 
     def _split_component(self, support: list[int]) -> dict[int, int] | None:
-        """The first split of one component in depth-first order, or None.
+        """The first split of one component in height order, or None.
 
-        Columns are placed highest first, each on one of two sides with
+        Columns are placed one at a time, each on one of two sides with
         one of its candidates; the side bases must keep independent
         spans.  A column's candidates come from `linear._lexicographic`:
         the column plus every combination of its sources, in
         `itertools.product` order of the coefficients, the first
         source's changing slowest.  They are pushed in that order, and
-        the stack pops the last one first; together these decide which
-        split is found first, so reordering them can change the output.
+        the stack pops the last one first; together with the column
+        order these decide which split is found first, so reordering any
+        of them can change the output.
 
-        Five cuts remove only states that hold no split.  Whether a cut
-        removes a state depends only on its key, so the first split
-        found, and the canonical output, do not depend on them.  Three
-        read the matroid of the fixed columns: those with no source in
-        the component, which every state places as they are.  In a split
-        each fixed column lies in its side's span and the two spans are
-        independent, so the fixed columns of one side are a separator of
-        that matroid, and each of its blocks (connected components,
-        `_matroid_blocks`) ends on one side.
+        The search (`first_split`) runs in two column orders.  Height
+        order places the columns highest first; its first split is the
+        one applied.  Fixed-first order places first the fixed columns,
+        those with no source in the component, which are placed as they
+        are, then the rest, each group highest first.  It runs first, and
+        a component in which it finds no split cannot split.
 
-        - A component in which no column has a column strictly above it
-          inside the support cannot split.  The matrix is in
-          right-most-pivot reduced form here (construction, splits and
-          coset passes all leave it so), a standard representation
-          [I | A] up to column order, and its matroid is connected
-          exactly when the bipartite row-column graph of A is; one
-          component of `_row_graph_groups` is such a connected graph.
-          With every column fixed, a split would be a separation of
-          that connected matroid.
-        - Nor can a component whose fixed columns form one block and
-          span it, their rank being its row count `dim`.  The block ends
-          on one side, whose span is then everything, so the other side
-          could hold only zero candidates, and there are none.
-        - A fixed column whose block has a placed member goes only to the
-          side whose span holds the block's first member, its anchor
-          (`_sides`): the block ends on one side, the anchor already lies
-          in one side's span, and spans only grow.
+        That verdict is exact.  Each rule below holds for any order that
+        places every column after its sources, so in either order the
+        search reaches every split, up to the exact duplicates that
+        `seen` and `tried` remove: whether it returns a split does not
+        depend on the order.  Both orders place sources first: a source
+        lies strictly above its column in the poset, so it is higher,
+        and a fixed column has no source.  The cuts remove only states
+        that hold no split, and whether one removes a state depends only
+        on its key, so the first split found does not depend on them.
+
+        - A component in which no column has a source cannot split.  The
+          matrix is in right-most-pivot reduced form here (construction,
+          splits and coset passes all leave it so), a standard
+          representation [I | A] up to column order, and its matroid is
+          connected exactly when the bipartite row-column graph of A is;
+          one component of `_row_graph_groups` is such a connected
+          graph.  With every column fixed, a split would be a separation
+          of that connected matroid.
+        - The first column goes to side 0: the two sides are symmetric.
         - A state with side 1 empty and side 0 spanning the component
           (`len(b1) == dim`) is dead: no candidate leaves span(b1), so
-          none can start side 1.
+          none can start side 1, and spans only grow.
         - A state is dead when some column still to be placed has only
           candidates h in span(b1 + b2) but in neither span(b1) nor
           span(b2): neither side can take h now, and deeper states
           cannot either.  The sides only grow and keep independent
           spans, so h = u1 + u2 with u2 a nonzero vector of the second
           side never enters the first side's span, and likewise for the
-          second.  Whether a state is dead depends only on its key.
-          A column's candidates are the vectors of a coset, so
+          second.  A column's candidates are the vectors of a coset, so
           `_dead_column` decides this on subspaces, not candidate by
           candidate: a column with m sources has p^m candidates.
 
         Two facts leave no other check.  Sources come first: each source s
         of r is placed before r, as s plus columns above s (sources of r
         too), so their span lies in span(b1 + b2) when r is placed.  No
-        candidate is zero (`coset_passes`), so the first column placed,
-        with no sources, fills side 0: a state splits if side 1 is nonempty.
-        Only equal reductions give a side one span: red and a.red, a != 1,
-        put (1 - a)c in span(b1 + b2), where no candidate extends `comb`.
+        candidate is zero (`coset_passes`), so the first column placed
+        fills side 0: a state splits if side 1 is nonempty.  Only equal
+        reductions give a side one span: red and a.red, a != 1, put
+        (1 - a)c in span(b1 + b2), where no candidate extends `comb`.
 
         Every basis is triangular: the side bases b1 and b2, the combined
         basis `comb` and each column's source basis u.  A state's key
         fixes both spans, and a repeated key is skipped only once its
         first copy's subtree has been searched, so the dedupe is exact.
 
-        Every full placement popped is a split, with side 1 nonempty.
-        Each candidate is its column plus columns placed before it, so the
-        chosen candidates span what the component's columns span: all
-        `dim` rows, as the reduced matrix holds the unit column of each.
-        A full placement with side 1 empty thus ends with a column that
-        raised side 0 from rank `dim - 1` to `dim`; a state whose side 0
-        has rank `dim` and side 1 none has no children.  That column lies
-        outside the span of all the others: a coloop, in no circuit, so a
-        block of its own if it is fixed, and it has no anchor.  `_sides`
-        gives it (0, 1), and its first candidate, outside span(b1) =
-        span(comb), starts side 1.  That sibling is a complete split,
-        pushed after the side 0 placements and popped first.  Were this
-        wrong, the applied split would not raise the score, and
-        `canonical_form` would raise.
+        Every full placement popped is a split, with side 1 nonempty.  A
+        searched component has a column with a source, so at least two
+        columns, and its last column is not its first.  The chosen
+        candidates span all `dim` rows, so a full placement with side 1
+        empty ends with a column that raised side 0 from rank `dim - 1`.
+        `_sides` gives that column (0, 1), and the same candidate, outside
+        span(b1) = span(comb), starts side 1: a complete split, pushed
+        after the side 0 placements and popped first.  Were this wrong,
+        the applied split would not raise the score, and `canonical_form`
+        would raise.
         """
         support_set = set(support)
         # the sources of each column: the columns strictly above it in the component
@@ -487,18 +450,10 @@ class _Canonicalizer:
         if not any(sources.values()):
             return None
         heights = self.poset.heights()
-        order = sorted(support, key=lambda j: (-heights[j], j))
+        by_height = sorted(support, key=lambda j: (-heights[j], j))
         add, multiples, coords = self.kernel.add, self.kernel.multiples, self.kernel.coords
         rows = functools.reduce(operator.or_, (self.kernel.nonzero(self.cols[j]) for j in support))
         dim = bin(rows).count("1")
-        fixed = [r for r in order if not sources[r]]
-        blocks, rank = _matroid_blocks(self.p, self.k, [self.cols[r] & coords for r in fixed])
-        if len(blocks) == 1 and rank == dim:
-            return None
-        # each fixed column after the first of its block, keyed to that first one
-        anchor_of = {fixed[i]: self.cols[fixed[block[0]]] & coords
-                     for block in blocks for i in block[1:]}
-        anchors = [anchor_of.get(r, 0) for r in order]
         search = row_kernel(self.p, self.k)  # coordinate parts need no tag slots
         reduce, adjoin = search.reduce, search.adjoin
         candidates_at: dict[int, list[tuple[int, int]]] = {}
@@ -514,52 +469,60 @@ class _Canonicalizer:
             return candidates_at[r]
 
         # each column as (coordinates, triangular basis of its sources' coordinates)
-        cosets = []
-        for r in order:
+        coset_of = {}
+        for r in support:
             u: Basis = ()
             for j in sources[r]:
                 u = adjoin(u, self.cols[j] & coords) or u
-            cosets.append((self.cols[r] & coords, u))
+            coset_of[r] = (self.cols[r] & coords, u)
 
-        seen: set = set()
-        # state: (position, side bases, combined basis, chosen as (parent, index, whole column))
-        stack = [(0, (), (), (), None)]
-        while stack:
-            idx, b1, b2, comb, chosen = stack.pop()
-            if idx == len(order):
-                columns = {}
-                while chosen is not None:
-                    chosen, r, col = chosen
-                    columns[r] = col
-                return columns
-            key = (idx, b1, b2)
-            if key in seen:
-                continue
-            seen.add(key)
-            # with the second side empty, span(b1 + b2) = span(b1) and no column is dead
-            if b2 and _dead_column(reduce, adjoin, cosets[idx:], b1, b2, comb):
-                continue
-            r = order[idx]
-            for side in _sides(reduce, anchors[idx], b1, b2, dim):
-                own = b1 if side == 0 else b2
-                tried = set()
-                for h, col in candidates(r):
-                    red = reduce(h, own)
-                    if red:
-                        if red in tried:
-                            continue  # same reduction as an earlier candidate
-                        tried.add(red)
-                        new_comb = adjoin(comb, red)
-                        if new_comb is None:
-                            continue  # would intersect the other side
-                        new_own = adjoin(own, red)
-                    else:
-                        # span unchanged on its own side: combined is unchanged too
-                        new_own, new_comb = own, comb
-                    stack.append((idx + 1, new_own if side == 0 else b1,
-                                  new_own if side == 1 else b2,
-                                  new_comb, (chosen, r, col)))
-        return None
+        def first_split(order: list[int]) -> dict[int, int] | None:
+            """The first split found placing the columns in `order`, or None."""
+            cosets = [coset_of[r] for r in order]
+            seen: set = set()
+            # state: (position, side bases, combined basis, chosen as (parent, index, whole column))
+            stack = [(0, (), (), (), None)]
+            while stack:
+                idx, b1, b2, comb, chosen = stack.pop()
+                if idx == len(order):
+                    columns = {}
+                    while chosen is not None:
+                        chosen, r, col = chosen
+                        columns[r] = col
+                    return columns
+                key = (idx, b1, b2)
+                if key in seen:
+                    continue
+                seen.add(key)
+                # with the second side empty, span(b1 + b2) = span(b1) and no column is dead
+                if b2 and _dead_column(reduce, adjoin, cosets[idx:], b1, b2, comb):
+                    continue
+                r = order[idx]
+                for side in _sides(b1, b2, dim):
+                    own = b1 if side == 0 else b2
+                    tried = set()
+                    for h, col in candidates(r):
+                        red = reduce(h, own)
+                        if red:
+                            if red in tried:
+                                continue  # same reduction as an earlier candidate
+                            tried.add(red)
+                            new_comb = adjoin(comb, red)
+                            if new_comb is None:
+                                continue  # would intersect the other side
+                            new_own = adjoin(own, red)
+                        else:
+                            # span unchanged on its own side: combined is unchanged too
+                            new_own, new_comb = own, comb
+                        stack.append((idx + 1, new_own if side == 0 else b1,
+                                      new_own if side == 1 else b2,
+                                      new_comb, (chosen, r, col)))
+            return None
+
+        # fixed columns first, each group still highest first, as the sort is stable
+        if first_split(sorted(by_height, key=lambda r: bool(sources[r]))) is None:
+            return None
+        return first_split(by_height)
 
 
 def canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:

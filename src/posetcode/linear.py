@@ -452,8 +452,8 @@ def _echelon(field: PrimeField, rows: Sequence[Sequence[int]], m: int) -> tuple[
 def classical_rref(g: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Left-most-pivot reduced row echelon form, zero rows dropped."""
     kernel, basis = _echelon(g.field, g.rows, g.n)
-    rows = [kernel.unpack(b) for _, b in basis]
-    return Matrix(g.field, rows, n=g.n), tuple(shift // kernel.w for shift, _ in basis)
+    rows = tuple(kernel.residues(b) for _, b in basis)
+    return _residue_matrix(g.field, rows, g.n), tuple(shift // kernel.w for shift, _ in basis)
 
 
 def invert_matrix(m: Matrix) -> Matrix:
@@ -465,7 +465,9 @@ def invert_matrix(m: Matrix) -> Matrix:
     kernel, basis = _echelon(m.field, augmented, n)
     if len(basis) != n:
         raise ValueError("matrix is singular")
-    return Matrix(m.field, [kernel.unpack(b, n, 2 * n) for _, b in basis], n=n)
+    # the inverse sits in the tag slots, which a width-n kernel reads once shifted down
+    tags, shift = row_kernel(m.field.p, n), kernel.w * n
+    return _residue_matrix(m.field, tuple(tags.residues(b >> shift) for _, b in basis), n)
 
 
 def row_reduce_inverse(g: Matrix) -> Matrix:
@@ -478,7 +480,7 @@ def row_reduce_inverse(g: Matrix) -> Matrix:
     kernel, basis = _echelon(g.field, [r[::-1] for r in g.rows], g.n)
     if len(basis) != g.k:
         raise ValueError(f"rank deficiency: rank {len(basis)} < {g.k} rows")
-    return Matrix(g.field, [kernel.unpack(b)[::-1] for _, b in basis], n=g.n)
+    return _residue_matrix(g.field, tuple(kernel.residues(b)[::-1] for _, b in basis), g.n)
 
 
 def is_generalized_rref(g: Matrix) -> bool:
