@@ -18,7 +18,8 @@ them.  It first decides whether a component splits at all, placing its
 fixed columns (those with no column above them in the component)
 first, and searches in height order only a component that does; the
 verdict cannot depend on the order, as `_Canonicalizer._split_component`
-shows.  Every basis here is triangular (`RowKernel.adjoin`), the split
+shows.  The height-order search skips every state the fixed-first one
+exhausted.  Every basis here is triangular (`RowKernel.adjoin`), the split
 search's two side bases too, which key the states it has visited.
 """
 
@@ -418,7 +419,10 @@ class _Canonicalizer:
           side never enters the first side's span, and likewise for the
           second.  A column's candidates are the vectors of a coset, so
           `_dead_column` decides this on subspaces, not candidate by
-          candidate: a column with m sources has p^m candidates.
+          candidate: a column with m sources has p^m candidates.  A child
+          whose spans did not grow skips the check: its parent found no
+          dead column among `cosets[idx:]` with the same spans, and that
+          covers every column the child still has to place.
 
         Two facts leave no other check.  Sources come first: each source s
         of r is placed before r, as s plus columns above s (sources of r
@@ -429,9 +433,29 @@ class _Canonicalizer:
         (1 - a)c in span(b1 + b2), where no candidate extends `comb`.
 
         Every basis is triangular: the side bases b1 and b2, the combined
-        basis `comb` and each column's source basis u.  A state's key
-        fixes both spans, and a repeated key is skipped only once its
-        first copy's subtree has been searched, so the dedupe is exact.
+        basis `comb` and each column's source basis u.  A state's key, the
+        set of placed columns with b1 and b2, fixes both spans, and a
+        repeated key is skipped only once its first copy's subtree has
+        been searched, so the dedupe is exact.
+
+        The two searches share one `seen`, and height order skips every
+        state the fixed-first search exhausted:
+
+        - What a key left in the set means.  A popped state that is not
+          on the current path has had its whole subtree popped.  So once
+          the keys on the path to the split found are removed, every key
+          left names a state whose subtree held no split: exhausted, cut,
+          or already seen.
+        - Why that verdict carries over to height order.  Whether a state
+          can be completed depends only on the set of placed columns,
+          span(b1) and span(b2).  The argument above that the verdict does
+          not depend on the order applies from any state whose remaining
+          columns come after their sources.  Both orders place the same
+          column first, the highest, which is fixed, so side 0 means the
+          same thing in both.
+        - Why the skip adds nothing new.  Dropping split-free states is
+          what the cuts already do, so the first split in height order
+          cannot change.
 
         Every full placement popped is a split, with side 1 nonempty.  A
         searched component has a column with a source, so at least two
@@ -476,26 +500,33 @@ class _Canonicalizer:
                 u = adjoin(u, self.cols[j] & coords) or u
             coset_of[r] = (self.cols[r] & coords, u)
 
-        def first_split(order: list[int]) -> dict[int, int] | None:
-            """The first split found placing the columns in `order`, or None."""
+        def first_split(order: list[int], seen: set) -> dict[int, int] | None:
+            """The first split found placing the columns in `order`, or None,
+            skipping the states whose keys are in `seen`."""
             cosets = [coset_of[r] for r in order]
-            seen: set = set()
-            # state: (position, side bases, combined basis, chosen as (parent, index, whole column))
-            stack = [(0, (), (), (), None)]
+            placed = [0]  # placed[idx]: the mask of the columns order[:idx]
+            for r in order:
+                placed.append(placed[-1] | 1 << r)
+            # state: (position, side bases, combined basis, whether the spans
+            # grew, chosen as (parent, index, whole column, parent's key))
+            stack = [(0, (), (), (), True, None)]
             while stack:
-                idx, b1, b2, comb, chosen = stack.pop()
+                idx, b1, b2, comb, grown, chosen = stack.pop()
                 if idx == len(order):
                     columns = {}
                     while chosen is not None:
-                        chosen, r, col = chosen
+                        chosen, r, col, key = chosen
                         columns[r] = col
+                        seen.discard(key)  # its subtree holds this split
                     return columns
-                key = (idx, b1, b2)
+                key = (placed[idx], b1, b2)
                 if key in seen:
                     continue
                 seen.add(key)
-                # with the second side empty, span(b1 + b2) = span(b1) and no column is dead
-                if b2 and _dead_column(reduce, adjoin, cosets[idx:], b1, b2, comb):
+                # with the second side empty, span(b1 + b2) = span(b1) and no
+                # column is dead; with the spans as the parent left them, the
+                # parent's check covered every column left
+                if b2 and grown and _dead_column(reduce, adjoin, cosets[idx:], b1, b2, comb):
                     continue
                 r = order[idx]
                 for side in _sides(b1, b2, dim):
@@ -515,14 +546,15 @@ class _Canonicalizer:
                             # span unchanged on its own side: combined is unchanged too
                             new_own, new_comb = own, comb
                         stack.append((idx + 1, new_own if side == 0 else b1,
-                                      new_own if side == 1 else b2,
-                                      new_comb, (chosen, r, col)))
+                                      new_own if side == 1 else b2, new_comb,
+                                      new_comb is not comb, (chosen, r, col, key)))
             return None
 
+        seen: set = set()
         # fixed columns first, each group still highest first, as the sort is stable
-        if first_split(sorted(by_height, key=lambda r: bool(sources[r]))) is None:
+        if first_split(sorted(by_height, key=lambda r: bool(sources[r])), seen) is None:
             return None
-        return first_split(by_height)
+        return first_split(by_height, seen)
 
 
 def canonical_form(g: Matrix, poset: Poset) -> tuple[Matrix, Matrix]:

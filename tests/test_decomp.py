@@ -332,22 +332,29 @@ class TestCanonicalForm:
     def test_pruned_search_matches_reference(self, monkeypatch):
         # The split search skips components whose columns cannot move,
         # settles those that cannot split by a search with the fixed
-        # columns first, and drops states with a dead column or with a
-        # spanning first side and an empty second one; the reference does
-        # none of these.  Count every cut across the sample, so that a
+        # columns first, searches those that can in height order without
+        # the states that search exhausted, and drops states with a dead
+        # column or with a spanning first side and an empty second one;
+        # the reference does none of these.  Count every cut across the sample, so that a
         # sample which never exercises one does not pass unseen.
-        fired = {"skipped": 0, "settled": 0, "pruned": 0, "full": 0}
+        fired = {"skipped": 0, "settled": 0, "shared": 0, "pruned": 0, "full": 0}
         split_component, dead_column = decomp._Canonicalizer._split_component, decomp._dead_column
         sides_of = decomp._sides
 
         def counting_split_component(self, support):
             inside = set(support)
             movable = any(j in inside for r in support for j in self.ups[r])
+            heights = self.poset.heights()
+            by_height = sorted(support, key=lambda j: (-heights[j], j))
+            fixed_first = sorted(by_height, key=lambda r: any(j in inside for j in self.ups[r]))
             result = split_component(self, support)
             fired["skipped"] += not movable
             # height order runs only after the fixed-first search found a
             # split, and then finds one too: None means it found none
             fired["settled"] += movable and result is None
+            # a split found in height order after a fixed-first search in
+            # another order, which skipped the states that search exhausted
+            fired["shared"] += result is not None and fixed_first != by_height
             return result
 
         def counting_dead_column(*args):
@@ -536,6 +543,9 @@ class TestCanonicalForm:
         "gf3-n20-seed4": "6002b814253aa466499e47e77c918e0f408a59f659ad665d643e348b5ae7dbe2",
         "gf3-n20-seed5": "6e23afa22d393dc1cf699011993424fc85b9a13c53406f7f9795f9f9d45b5eab",
         "gf3-n20-seed6": "be399b83f55305e6aed8173f95bd96c9d26f69da8a61c7d673580521a8ddb309",
+        # and its tail, recorded before the height-order search skipped the
+        # states the fixed-first search exhausted (2.8 s there)
+        "gf3-n20-seed7": "f06b0a4db55eb86ae12d745dd65eb5882b31a2fc73ca3474eb098c34395e1ffb",
         # GF(7), n = 11, k = 7: the code drawn first; the unpruned search took 77 s
         "gf7-n11": "78584cecacbb61b54cc3f7f327b1511d6553e62f4a21e557066b61d0fa525a12",
         # GF(7), n = 9, density 0.3: 7^4 candidates for one column; the
@@ -596,6 +606,24 @@ class TestCanonicalForm:
         code, p = self.sparse_instance("gf2-n24-seed4")
         canonical_form(code.gen, p)
         assert 0 < calls < 20_000, calls
+
+    def test_split_search_work_on_the_gf3_n20_tail(self, monkeypatch):
+        # a component of this instance splits, and the height-order search
+        # reaches its first split late; it sent 153,213 states through the
+        # dead-column check when it ignored the states the fixed-first search
+        # had exhausted and checked children whose spans had not grown
+        calls = 0
+        dead_column = decomp._dead_column
+
+        def counting_dead_column(*args):
+            nonlocal calls
+            calls += 1
+            return dead_column(*args)
+
+        monkeypatch.setattr(decomp, "_dead_column", counting_dead_column)
+        code, p = self.sparse_instance("gf3-n20-seed7")
+        canonical_form(code.gen, p)
+        assert 0 < calls < 60_000, calls
 
 
 class TestProfileAndDegree:
