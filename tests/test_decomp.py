@@ -335,8 +335,9 @@ class TestCanonicalForm:
         # columns first, searches those that can in height order without
         # the states that search exhausted, and drops states with a dead
         # column or with a spanning first side and an empty second one;
-        # the reference does none of these.  Count every cut across the sample, so that a
-        # sample which never exercises one does not pass unseen.
+        # the reference does none of these.  Count every cut across the
+        # sample, so that a sample which never exercises one does not pass
+        # unseen.
         fired = {"skipped": 0, "settled": 0, "shared": 0, "pruned": 0, "full": 0}
         split_component, dead_column = decomp._Canonicalizer._split_component, decomp._dead_column
         sides_of = decomp._sides
@@ -589,11 +590,10 @@ class TestCanonicalForm:
         digest = hashlib.sha256(json.dumps([gstar.rows, witness.rows]).encode()).hexdigest()
         assert digest == self.PINNED[name]
 
-    def test_split_search_work_on_the_n24_tail(self, monkeypatch):
-        # the one component of this instance that cannot split sent 445,116
-        # states through the dead-column check when the search ran in height
-        # order alone; searched with the fixed columns first, it takes a few
-        # thousand, and a count bounds the work without timing it
+    @classmethod
+    def dead_column_calls(cls, monkeypatch, name):
+        """How many times `canonical_form` runs `_dead_column` on the
+        sparse instance `name`: a count bounds the work without timing it."""
         calls = 0
         dead_column = decomp._dead_column
 
@@ -603,8 +603,16 @@ class TestCanonicalForm:
             return dead_column(*args)
 
         monkeypatch.setattr(decomp, "_dead_column", counting_dead_column)
-        code, p = self.sparse_instance("gf2-n24-seed4")
+        code, p = cls.sparse_instance(name)
         canonical_form(code.gen, p)
+        return calls
+
+    def test_split_search_work_on_the_n24_tail(self, monkeypatch):
+        # the one component of this instance that cannot split sent 445,116
+        # states through the dead-column check when the search ran in height
+        # order alone; searched with the fixed columns first, it takes a few
+        # thousand
+        calls = self.dead_column_calls(monkeypatch, "gf2-n24-seed4")
         assert 0 < calls < 20_000, calls
 
     def test_split_search_work_on_the_gf3_n20_tail(self, monkeypatch):
@@ -612,17 +620,7 @@ class TestCanonicalForm:
         # reaches its first split late; it sent 153,213 states through the
         # dead-column check when it ignored the states the fixed-first search
         # had exhausted and checked children whose spans had not grown
-        calls = 0
-        dead_column = decomp._dead_column
-
-        def counting_dead_column(*args):
-            nonlocal calls
-            calls += 1
-            return dead_column(*args)
-
-        monkeypatch.setattr(decomp, "_dead_column", counting_dead_column)
-        code, p = self.sparse_instance("gf3-n20-seed7")
-        canonical_form(code.gen, p)
+        calls = self.dead_column_calls(monkeypatch, "gf3-n20-seed7")
         assert 0 < calls < 60_000, calls
 
 
