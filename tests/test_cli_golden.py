@@ -86,6 +86,12 @@ def _cases() -> dict[str, list[str]]:
             "--vec", FIXTURES["f3"]["bad_vec"], "--algorithm", "leveled1",
         ],
         "error-poset-cycle": ["validate", "--poset", "inputs/cycle.poset"],
+        "error-poset-bad-header": ["neighbors", "--poset", "inputs/bad_header.poset"],
+        "error-poset-bad-element": ["validate", "--poset", "inputs/bad_element.poset"],
+        "error-poset-relation-tokens": [
+            "canonicalize", "--poset", "inputs/relation_tokens.poset", "--code", "inputs/f2.code",
+        ],
+        "error-poset-out-of-range": ["neighbors", "--poset", "inputs/out_of_range.poset"],
         "error-rank-deficient": ["decompose", *f2, "--code", "inputs/equal_rows.code"],
         "error-empty-poset": ["neighbors", "--poset", "inputs/empty.poset"],
         "error-empty-code": ["validate", "--code", "inputs/empty.code"],
