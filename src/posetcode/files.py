@@ -30,31 +30,41 @@ def _meaningful_lines(path: str | Path) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_int(token: str, path, lineno: int, col: int, what: str) -> int:
+def _parse_int(token: str, what: str, *where) -> int:
+    """int(token); on failure the error names `what` and the location
+    parts `where`, joined by colons."""
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}:{col}: expected {what}, got {token!r}") from None
+        raise ValueError(f"{':'.join(map(str, where))}: expected {what}, got {token!r}") from None
+
+
+def _read_header(
+    path: str | Path, header: re.Pattern, shape: str
+) -> tuple[int, list[int], list[tuple[int, str]]]:
+    """The line number and integers of a header of the given shape, then
+    the meaningful lines after it."""
+    lines = _meaningful_lines(path)
+    if not lines:
+        raise ValueError(f"{path}:1: empty {shape.split()[0]} file")
+    lineno, line = lines[0]
+    m = header.match(line)
+    if not m:
+        raise ValueError(f"{path}:{lineno}: expected header '{shape}', got {line!r}")
+    return lineno, [int(g) for g in m.groups()], lines[1:]
 
 
 def load_poset(path: str | Path) -> Poset:
-    lines = _meaningful_lines(path)
-    if not lines:
-        raise ValueError(f"{path}:1: empty poset file")
-    lineno, header = lines[0]
-    m = _POSET_HEADER.match(header)
-    if not m:
-        raise ValueError(f"{path}:{lineno}: expected header 'poset n=<n>', got {header!r}")
-    n = int(m.group(1))
+    _, (n,), body = _read_header(path, _POSET_HEADER, "poset n=<n>")
     pairs = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 2:
             raise ValueError(
                 f"{path}:{lineno}: expected a relation 'a b', got {len(tokens)} tokens"
             )
-        a = _parse_int(tokens[0], path, lineno, 1, "an element")
-        b = _parse_int(tokens[1], path, lineno, 2, "an element")
+        a = _parse_int(tokens[0], "an element", path, lineno, 1)
+        b = _parse_int(tokens[1], "an element", path, lineno, 2)
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"{path}:{lineno}: relation ({a}, {b}) outside [1, {n}]")
         pairs.append((a, b))
@@ -65,21 +75,11 @@ def load_poset(path: str | Path) -> Poset:
 
 
 def load_code(path: str | Path) -> Code:
-    lines = _meaningful_lines(path)
-    if not lines:
-        raise ValueError(f"{path}:1: empty code file")
-    lineno, header = lines[0]
-    m = _CODE_HEADER.match(header)
-    if not m:
-        raise ValueError(
-            f"{path}:{lineno}: expected header 'code q=<p> k=<k> n=<n>', got {header!r}"
-        )
-    q, k, n = (int(g) for g in m.groups())
+    lineno, (q, k, n), body = _read_header(path, _CODE_HEADER, "code q=<p> k=<k> n=<n>")
     try:
         field = PrimeField(q)
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
-    body = lines[1:]
     if len(body) != k:
         raise ValueError(f"{path}: expected {k} generator rows, found {len(body)}")
     rows = [parse_vector(line, field, n, where=f"{path}:{lineno}").coords for lineno, line in body]
@@ -95,10 +95,7 @@ def parse_vector(text: str, field: PrimeField, n: int, where: str = "vector") ->
         raise ValueError(f"{where}: expected {n} residues, got {len(tokens)}")
     coords = []
     for col, tok in enumerate(tokens, start=1):
-        try:
-            value = int(tok)
-        except ValueError:
-            raise ValueError(f"{where}:{col}: expected a residue, got {tok!r}") from None
+        value = _parse_int(tok, "a residue", where, col)
         if not 0 <= value < field.p:
             raise ValueError(f"{where}:{col}: residue {value} outside [0, {field.p})")
         coords.append(value)

@@ -373,7 +373,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n=n)
 
     def row_vectors(self) -> list[Vector]:
         return [Vector(self.field, r) for r in self.rows]
@@ -382,9 +382,7 @@ class Matrix:
         return tuple(row[j] for row in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows), n=self.k) if self.rows else Matrix(
-            self.field, [[] for _ in range(self.n)], n=0
-        )
+        return Matrix(self.field, list(zip(*self.rows)) or [()] * self.n, n=self.k)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -392,13 +390,8 @@ class Matrix:
         if self.n != other.k:
             raise ValueError(f"shape mismatch: {self.k}x{self.n} @ {other.k}x{other.n}")
         p = self.field.p
-        cols = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for row in self.rows:
-            if cols:
-                out.append([sum(a * b for a, b in zip(row, col)) % p for col in cols])
-            else:
-                out.append([])
+        cols = list(zip(*other.rows)) or [()] * other.n  # n empty columns when k = 0
+        out = [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in self.rows]
         return Matrix(self.field, out, n=other.n)
 
     def apply_to_rows(self, g: "Matrix") -> "Matrix":

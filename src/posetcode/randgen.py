@@ -41,22 +41,24 @@ def random_matrix(rng: random.Random, field: PrimeField, k: int, n: int) -> Matr
     return Matrix(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(k)])
 
 
+def _full_rank(rng: random.Random, field: PrimeField, k: int, n: int) -> Matrix:
+    """A random k x n matrix, resampled until it has rank k."""
+    while True:
+        m = random_matrix(rng, field, k, n)
+        if m.rank() == k:
+            return m
+
+
 def random_code(rng: random.Random, field: PrimeField, n: int, k: int) -> Code:
     """A random [n, k] code, 1 <= k <= n; resamples until the generator
     has full rank."""
     if not 1 <= k <= n:
         raise ValueError(f"a random [n, k] code needs 1 <= k <= n, got n={n}, k={k}")
-    while True:
-        m = random_matrix(rng, field, k, n)
-        if m.rank() == k:
-            return Code(m)
+    return Code(_full_rank(rng, field, k, n))
 
 
 def random_invertible(rng: random.Random, field: PrimeField, k: int) -> Matrix:
     """A random invertible k x k matrix, k >= 1."""
     if k < 1:
         raise ValueError(f"a random invertible matrix needs k >= 1, got k={k}")
-    while True:
-        m = random_matrix(rng, field, k, k)
-        if m.rank() == k:
-            return m
+    return _full_rank(rng, field, k, k)

@@ -272,6 +272,27 @@ def test_matrix_product_and_inverse():
         invert_matrix(Matrix(F2, [[1, 1], [1, 1]]))
 
 
+def test_matrix_handles_an_empty_dimension():
+    # a side of length 0 still fixes the shape of identities, products and transposes
+    assert Matrix.identity(F2, 0) == Matrix(F2, [], n=0)
+    wide, tall = Matrix(F2, [], n=3), Matrix(F2, [[], []], n=0)
+    assert tall @ wide == Matrix(F2, [[0, 0, 0], [0, 0, 0]])
+    assert wide @ Matrix(F2, [[1, 0], [0, 1], [1, 1]]) == Matrix(F2, [], n=2)
+    assert Matrix(F2, [[1, 0, 1], [0, 1, 1]]) @ Matrix(F2, [[], [], []], n=0) == tall
+    for m in (wide, tall, Matrix(F2, [], n=0)):
+        t = m.transpose()
+        assert (t.k, t.n) == (m.n, m.k)
+        assert t.transpose() == m
+
+
+def test_contains_rejects_a_word_of_another_field_or_length():
+    code = Code.from_rows(F2, [[1, 0, 1]])
+    assert code.contains(Vector(F2, [1, 0, 1]))
+    # each packs to the int the codeword packs to
+    assert not code.contains(Vector(PrimeField(3), [1, 0, 1]))
+    assert not code.contains(Vector(F2, [1, 0, 1, 0]))
+
+
 def test_classical_rref_pivots():
     reduced, pivots = classical_rref(EXAMPLE_G)
     assert pivots == (0, 1, 2)
