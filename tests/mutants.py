@@ -3,7 +3,6 @@ that must catch it.
 
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
-    python tests/mutants.py --list       # names and files, nothing run
 
 Each entry names a file under `src/posetcode/`, an exact `old` text that
 occurs there once, the `new` text that replaces it, and its checks:
@@ -260,17 +259,12 @@ def run(mutant: Mutant) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
     by_name = {m.name: m for m in MUTANTS}
     unknown = [name for name in args.names if name not in by_name]
     if unknown:
         parser.error(f"unknown mutant(s): {', '.join(unknown)}")
     chosen = [by_name[name] for name in args.names] or list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}\t{m.file}{'  (equivalent)' if m.equivalent else ''}")
-        return 0
     start = time.monotonic()
     failures = [m.name for m in chosen if not run(m)]
     print(f"{len(chosen) - len(failures)} of {len(chosen)} as expected "
