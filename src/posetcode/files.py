@@ -16,8 +16,10 @@ from .field import PrimeField
 from .linear import Code, Matrix, Vector
 from .poset import Poset
 
-_POSET_HEADER = re.compile(r"^poset\s+n=(\d+)$")
-_CODE_HEADER = re.compile(r"^code\s+q=(\d+)\s+k=(\d+)\s+n=(\d+)$")
+_HEADERS = {
+    "poset": (re.compile(r"^poset\s+n=(\d+)$"), "poset n=<n>"),
+    "code": (re.compile(r"^code\s+q=(\d+)\s+k=(\d+)\s+n=(\d+)$"), "code q=<p> k=<k> n=<n>"),
+}
 
 
 def _meaningful_lines(path: str | Path) -> list[tuple[int, str]]:
@@ -30,23 +32,29 @@ def _meaningful_lines(path: str | Path) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_int(token: str, what: str, *where) -> int:
-    """int(token); on failure the error names `what` and the location
-    parts `where`, joined by colons."""
+def _parse_ints(tokens: list[str], what: str, *where) -> list[int]:
+    """The tokens as integers; on failure the error names `what`, the
+    location parts `where` and the column of the bad token, joined by
+    colons."""
+    values: list[int] = []
     try:
-        return int(token)
+        for tok in tokens:
+            values.append(int(tok))
     except ValueError:
-        raise ValueError(f"{':'.join(map(str, where))}: expected {what}, got {token!r}") from None
+        where += (len(values) + 1,)
+        raise ValueError(
+            f"{':'.join(map(str, where))}: expected {what}, got {tokens[len(values)]!r}"
+        ) from None
+    return values
 
 
-def _read_header(
-    path: str | Path, header: re.Pattern, shape: str
-) -> tuple[int, list[int], list[tuple[int, str]]]:
-    """The line number and integers of a header of the given shape, then
+def _read_header(path: str | Path, kind: str) -> tuple[int, list[int], list[tuple[int, str]]]:
+    """The line number and integers of the header of a `kind` file, then
     the meaningful lines after it."""
     lines = _meaningful_lines(path)
     if not lines:
-        raise ValueError(f"{path}:1: empty {shape.split()[0]} file")
+        raise ValueError(f"{path}:1: empty {kind} file")
+    header, shape = _HEADERS[kind]
     lineno, line = lines[0]
     m = header.match(line)
     if not m:
@@ -55,7 +63,7 @@ def _read_header(
 
 
 def load_poset(path: str | Path) -> Poset:
-    _, (n,), body = _read_header(path, _POSET_HEADER, "poset n=<n>")
+    _, (n,), body = _read_header(path, "poset")
     pairs = []
     for lineno, line in body:
         tokens = line.split()
@@ -63,8 +71,7 @@ def load_poset(path: str | Path) -> Poset:
             raise ValueError(
                 f"{path}:{lineno}: expected a relation 'a b', got {len(tokens)} tokens"
             )
-        a = _parse_int(tokens[0], "an element", path, lineno, 1)
-        b = _parse_int(tokens[1], "an element", path, lineno, 2)
+        a, b = _parse_ints(tokens, "an element", path, lineno)
         if not (1 <= a <= n and 1 <= b <= n):
             raise ValueError(f"{path}:{lineno}: relation ({a}, {b}) outside [1, {n}]")
         pairs.append((a, b))
@@ -75,7 +82,7 @@ def load_poset(path: str | Path) -> Poset:
 
 
 def load_code(path: str | Path) -> Code:
-    lineno, (q, k, n), body = _read_header(path, _CODE_HEADER, "code q=<p> k=<k> n=<n>")
+    lineno, (q, k, n), body = _read_header(path, "code")
     try:
         field = PrimeField(q)
     except ValueError as exc:
@@ -93,12 +100,10 @@ def parse_vector(text: str, field: PrimeField, n: int, where: str = "vector") ->
     tokens = text.split()
     if len(tokens) != n:
         raise ValueError(f"{where}: expected {n} residues, got {len(tokens)}")
-    coords = []
-    for col, tok in enumerate(tokens, start=1):
-        value = _parse_int(tok, "a residue", where, col)
+    coords = _parse_ints(tokens, "a residue", where)
+    for col, value in enumerate(coords, start=1):
         if not 0 <= value < field.p:
             raise ValueError(f"{where}:{col}: residue {value} outside [0, {field.p})")
-        coords.append(value)
     return Vector(field, coords)
 
 

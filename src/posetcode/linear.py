@@ -493,7 +493,7 @@ def is_generalized_rref(g: Matrix) -> bool:
 class Code:
     """A k-dimensional subspace of GF(q)^n given by a full-rank generator."""
 
-    __slots__ = ("gen", "field", "n", "k")
+    __slots__ = ("gen", "field", "n", "k", "_basis")
 
     def __init__(self, gen: Matrix):
         if gen.k < 1:
@@ -504,6 +504,7 @@ class Code:
         object.__setattr__(self, "field", gen.field)
         object.__setattr__(self, "n", gen.n)
         object.__setattr__(self, "k", gen.k)
+        object.__setattr__(self, "_basis", None)  # contains' basis, built on its first call
 
     def __setattr__(self, name, value):
         raise AttributeError("Code is immutable")
@@ -539,7 +540,9 @@ class Code:
     def contains(self, v: Vector) -> bool:
         if v.field != self.field or len(v) != self.n:
             return False
-        kernel, basis = _triangular(self.field, self.gen.rows, self.n)
+        if self._basis is None:
+            object.__setattr__(self, "_basis", _triangular(self.field, self.gen.rows, self.n))
+        kernel, basis = self._basis
         return not kernel.reduce(kernel.pack(v.coords), basis)
 
 

@@ -1,8 +1,7 @@
 """Mutant catalogue: known ways to break `src/`, each with the checks
 that must catch it.
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named ones
+    python tests/mutants.py
 
 Each entry names a file under `src/posetcode/`, an exact `old` text that
 occurs there once, the `new` text that replaces it, and its checks:
@@ -29,7 +28,6 @@ the catalogue instead of losing the mutant.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -256,18 +254,10 @@ def run(mutant: Mutant) -> bool:
     return ok
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in args.names if name not in by_name]
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [by_name[name] for name in args.names] or list(MUTANTS)
+def main() -> int:
     start = time.monotonic()
-    failures = [m.name for m in chosen if not run(m)]
-    print(f"{len(chosen) - len(failures)} of {len(chosen)} as expected "
+    failures = [m.name for m in MUTANTS if not run(m)]
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} as expected "
           f"in {time.monotonic() - start:.0f} s")
     return 1 if failures else 0
 
