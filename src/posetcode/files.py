@@ -41,10 +41,9 @@ def _parse_ints(tokens: list[str], what: str, *where) -> list[int]:
         for tok in tokens:
             values.append(int(tok))
     except ValueError:
-        where += (len(values) + 1,)
-        raise ValueError(
-            f"{':'.join(map(str, where))}: expected {what}, got {tokens[len(values)]!r}"
-        ) from None
+        col = len(values) + 1
+        location = ":".join(map(str, (*where, col)))
+        raise ValueError(f"{location}: expected {what}, got {tokens[col - 1]!r}") from None
     return values
 
 

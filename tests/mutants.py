@@ -177,6 +177,12 @@ MUTANTS = (
         "",
         (LINEAR + "test_contains_rejects_a_word_of_another_field_or_length",),
     ),
+    Mutant(
+        "contains-rebuilds-its-basis", "linear.py",
+        "        if self._basis is None:\n",
+        "        if True:\n",
+        (LINEAR + "test_contains_builds_its_basis_once",),
+    ),
     # Equivalent: no output tells them from the program.  Visiting the
     # components by smallest column changed no output on 120,589 random
     # instances; a state keyed by position is completable exactly when

@@ -293,6 +293,16 @@ def test_contains_rejects_a_word_of_another_field_or_length():
     assert not code.contains(Vector(F2, [1, 0, 1, 0]))
 
 
+def test_contains_builds_its_basis_once(monkeypatch):
+    import posetcode.linear as linear
+
+    code = Code.from_rows(F2, [[1, 0, 1, 1], [0, 1, 1, 0]])
+    assert code.contains(Vector(F2, [1, 1, 0, 1]))
+    monkeypatch.setattr(linear, "_triangular", None)  # a rebuild would now raise
+    assert code.contains(Vector(F2, [0, 1, 1, 0]))
+    assert not code.contains(Vector(F2, [0, 0, 0, 1]))
+
+
 def test_classical_rref_pivots():
     reduced, pivots = classical_rref(EXAMPLE_G)
     assert pivots == (0, 1, 2)
