@@ -8,11 +8,18 @@ the word's support.
 
 Every syndrome is one packed `RowKernel` int.  The leader scan lists
 the words on the first half of the coordinates and on the second half,
-each with its packed syndrome and ideal union, and scans the pairs in
-lexicographic order.  It keeps the leaders and nothing else.  Both
-halves come from `linear._lexicographic`: the syndromes as combinations
-of the parity columns, the unions as combinations of the coordinate
-ideals under `|`, zipped with the residue tuples of `_residue_runs`.
+each with its packed syndrome and ideal union, and scans their pairs in
+rounds of a weight bound B, taken over the union sizes that occur among
+the halves: round B adds the pairs whose two unions each have at most B
+elements.  It stops after the first round in which every syndrome has a
+word of weight at most B, since every word that light has both halves
+within B.  Ties go to the lexicographically first word, as in a scan of
+all q^n words, and the leaders are listed in the order in which such a
+scan first meets their syndromes: the order of the words supported on
+the columns of H picked greedily from the right.  It keeps the leaders
+and nothing else.  Both halves come from `linear._lexicographic`: the
+syndromes as combinations of the parity columns, the unions as
+combinations of the coordinate ideals under `|`.
 
 Every decoder reads a received word through one packed accumulator,
 built by `_build_decoder` from groups of (support, leader table) given
@@ -38,7 +45,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .budget import DEFAULT_BUDGET, check_budget
 from .decomp import Decomposition, maximal_p_decomposition
@@ -177,43 +184,93 @@ def _check_word(code: Code, y: Vector) -> None:
 
 
 def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTable:
-    """Enumerate the ambient space and keep a least-weight word per syndrome.
+    """Keep a least-weight word per syndrome, scanning the words in rounds
+    of a weight bound until every syndrome has a word within it.
 
     `ideals[j]` is the order ideal generated by table coordinate j, as a
     bitmask over the full space; a word weighs the number of elements
-    in the union of the ideals over its support.  The words are the
-    pairs of a head word on the first n // 2 coordinates and a tail
-    word on the rest, scanned head-major: that is lexicographic order,
-    so a leader is replaced only by a strictly lighter word that comes
-    later in it.  The table has no decoder.
+    in the union of the ideals over its support, which can exceed n when
+    the ideals reach outside the table's coordinates.  The words are
+    the pairs of a head word on the first n // 2 coordinates and a tail
+    word on the rest; a pair's rank, head index times the number of
+    tails plus tail index, is its place in lexicographic order.
+
+    The bounds B are the union sizes that occur among the halves, in
+    increasing order.  Round B scans the pairs not scanned yet whose
+    head union and tail union each have at most B elements, and the
+    scan stops after the first round in which every syndrome has a word
+    of weight at most B.  That is exact: a word of weight at most B has
+    both halves within B, so every word as light as a leader has been
+    scanned by then.  A pair scores its weight times q^n plus its rank,
+    so the least score is the lightest word and, among equally light
+    ones, the lexicographically first, as in a scan of all q^n words.
+
+    `leaders` lists the syndromes in the order in which that scan first
+    meets them.  The columns of H picked greedily from the right are a
+    basis of its column space, and a column left out depends on picked
+    columns to its right: so the lexicographically first word of every
+    coset is supported on the picked columns, and the words supported
+    there, listed by `linear._lexicographic`, give each syndrome once,
+    in that order.  The table has no decoder.
     """
     q, n, k = code.q, code.n, code.k
-    check_budget("syndrome table size", q ** (n - k), budget)
+    size = q ** (n - k)
+    check_budget("syndrome table size", size, budget)
     check_budget("syndrome table enumeration", q**n, budget)
     parity = parity_check(code)
     kernel = row_kernel(code.field.p, n - k)
     add = kernel.add
-    multiples = [kernel.multiples(col) for col in _packed_columns(kernel, parity.rows, n)]
+    columns = _packed_columns(kernel, parity.rows, n)
+    multiples = [kernel.multiples(col) for col in columns]
     unions = [[0] + [ideal] * (q - 1) for ideal in ideals]  # the multiples of an ideal under |
+    tail_count, ranks = q ** (n - n // 2), q**n
+    heaviest = (reduce(or_, ideals, 0).bit_count() + 1) * ranks  # above every score
 
-    def words(half: slice) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        # (packed syndrome, union of the ideals over the support, residues)
-        return zip(_lexicographic(add, 0, multiples[half]),
-                   _lexicographic(or_, 0, unions[half]),
-                   _residue_runs(q, len(unions[half])))
+    def layers(half: slice, step: int) -> dict[int, list[tuple[int, int, int]]]:
+        # union size -> (index times step, packed syndrome, union), in index order
+        out: dict[int, list[tuple[int, int, int]]] = {}
+        words = zip(_lexicographic(add, 0, multiples[half]), _lexicographic(or_, 0, unions[half]))
+        for index, (s, union) in enumerate(words):
+            out.setdefault(union.bit_count(), []).append((index * step, s, union))
+        return out
 
-    tail = list(words(slice(n // 2, n)))
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for head_s, head_union, head in words(slice(n // 2)):
-        for tail_s, tail_union, tail_coords in tail:
-            s = add(head_s, tail_s)
-            w = (head_union | tail_union).bit_count()
-            leader = best.get(s)
-            if leader is None or w < leader[0]:
-                best[s] = (w, head + tail_coords)
-    return SyndromeTable(
-        code, parity, {tuple(kernel.unpack(s)): Vector(code.field, c) for s, (_, c) in best.items()}
-    )
+    best: dict[int, int] = {}  # packed syndrome -> least score
+
+    def scan(heads: list[tuple[int, int, int]], tails: list[tuple[int, int, int]]) -> None:
+        get = best.get
+        for head_rank, head_s, head_union in heads:
+            for tail_rank, tail_s, tail_union in tails:
+                s = add(head_s, tail_s)
+                score = (head_union | tail_union).bit_count() * ranks + head_rank + tail_rank
+                if score < get(s, heaviest):
+                    best[s] = score
+
+    head_layers = layers(slice(n // 2), tail_count)
+    tail_layers = layers(slice(n // 2, n), 1)
+    heads: list[tuple[int, int, int]] = []
+    tails: list[tuple[int, int, int]] = []
+    for bound in sorted(head_layers.keys() | tail_layers.keys()):
+        new_heads, new_tails = head_layers.get(bound, []), tail_layers.get(bound, [])
+        scan(new_heads, tails)
+        heads += new_heads
+        tails += new_tails
+        scan(heads, new_tails)
+        if len(best) == size and max(best.values()) < (bound + 1) * ranks:
+            break
+
+    picked, basis = [], ()
+    for j in reversed(range(n)):
+        grown = kernel.adjoin(basis, columns[j])
+        if grown is not None:
+            picked.append(j)
+            basis = grown
+    head_runs, tail_runs = _residue_runs(q, n // 2), _residue_runs(q, n - n // 2)
+    leaders = {}
+    for s in _lexicographic(add, 0, [multiples[j] for j in sorted(picked)]):
+        head, tail = divmod(best[s] % ranks, tail_count)
+        leaders[tuple(kernel.unpack(s))] = _residue_vector(code.field,
+                                                           head_runs[head] + tail_runs[tail])
+    return SyndromeTable(code, parity, leaders)
 
 
 def _build_decoder(

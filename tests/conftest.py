@@ -3,6 +3,10 @@
 These deliberately re-derive everything from definitions, independent of
 the code paths they validate.  `run_fresh` runs a script in a new
 interpreter, for tests of what importing the package loads.
+
+Every Hypothesis test draws the same examples on every run: the loaded
+profile derandomizes them, seeding each test from its own source, so
+what the suite catches does not vary between runs.
 """
 
 from __future__ import annotations
@@ -13,12 +17,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 from posetcode.decode import parity_check, unproject_support
 from posetcode.field import PrimeField
 from posetcode.linear import Code, Matrix, Vector, p_distance
 from posetcode.poset import Poset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def run_fresh(script: str) -> str:

@@ -6,8 +6,8 @@ that must catch it.
 Each entry names a file under `src/posetcode/`, an exact `old` text that
 occurs there once, the `new` text that replaces it, and its checks:
 `selftest:SEED` runs `posetcode selftest --seed SEED`, anything else is
-a pytest node id, run with a fixed Hypothesis seed so that every run
-draws the same examples.  For each mutant the script copies `src`,
+a pytest node id; `tests/conftest.py` derandomizes Hypothesis, so every
+run draws the same examples.  For each mutant the script copies `src`,
 `tests`, `perfbench` and `pyproject.toml` to a temporary directory
 (pytest then imports the package from the copy), applies the one
 replacement there and runs each check in its own interpreter.  A check
@@ -46,6 +46,7 @@ SLICE = "tests/test_identity_corpus.py::test_identity_corpus_slice_matches_recor
 CANONICAL = "tests/test_decomp.py::TestCanonicalForm::"
 LINEAR = "tests/test_linear.py::"
 PINNED = CANONICAL + "test_pinned_outputs"
+LEADERS = "tests/test_decode.py::TestSyndromeTable::"
 PRUNED_REFERENCE = CANONICAL + "test_pruned_search_matches_reference"
 
 
@@ -80,10 +81,27 @@ MUTANTS = (
     ),
     Mutant(
         "leader-scan-lte", "decode.py",
-        "if leader is None or w < leader[0]:",
-        "if leader is None or w <= leader[0]:",
-        (SLICE, "tests/test_decode.py::TestSyndromeTable"
-                "::test_leaders_match_reference_enumeration"),
+        "if score < get(s, heaviest):",
+        "if score // ranks <= get(s, heaviest) // ranks:",
+        (SLICE, LEADERS + "test_leaders_match_reference_enumeration"),
+    ),
+    Mutant(
+        "leader-scan-stops-without-bound", "decode.py",
+        "if len(best) == size and max(best.values()) < (bound + 1) * ranks:",
+        "if len(best) == size:",
+        (SLICE, LEADERS + "test_leaders_match_reference_enumeration"),
+    ),
+    Mutant(
+        "leader-order-from-the-left", "decode.py",
+        "for j in reversed(range(n)):",
+        "for j in range(n):",
+        (SLICE, LEADERS + "test_leaders_match_reference_enumeration"),
+    ),
+    Mutant(
+        "leader-bounds-over-lengths", "decode.py",
+        "for bound in sorted(head_layers.keys() | tail_layers.keys()):",
+        "for bound in range(n + 1):",
+        (LEADERS + "test_group_leaders_can_outweigh_the_group_length",),
     ),
     Mutant(
         "sources-reversed", "decomp.py",
@@ -218,8 +236,7 @@ def _command(check: str) -> list[str]:
         script = ("import sys; from posetcode.cli import main; "
                   f"sys.exit(main(['selftest', '--seed', '{seed}']))")
         return [sys.executable, "-c", script]
-    return [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-            "--hypothesis-seed=0", check]
+    return [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", check]
 
 
 def _passes(check: str, root: Path) -> bool:

@@ -17,7 +17,7 @@ from conftest import (
 )
 from posetcode import decode as decode_module
 from posetcode import oracle
-from posetcode.budget import BudgetExceededError
+from posetcode.budget import DEFAULT_BUDGET, BudgetExceededError
 from posetcode.decomp import components_from_matrix, maximal_p_decomposition
 from posetcode.decode import (
     build_plan,
@@ -35,7 +35,7 @@ from posetcode.decode import (
     unproject_support,
 )
 from posetcode.field import PrimeField
-from posetcode.linear import Code, Matrix, Vector, p_distance
+from posetcode.linear import Code, Matrix, RowKernel, Vector, p_distance
 from posetcode.poset import Poset
 from posetcode.randgen import random_code, random_hierarchical_poset, random_poset
 
@@ -122,9 +122,16 @@ class TestSyndromeTable:
             assert len(calls) == 1
 
     def test_full_space_single_leader(self):
-        code = Code.from_rows(F2, [[1, 0], [0, 1]])
-        table = build_table(code, Poset.antichain(2))
-        assert dict(table.leaders) == {(): Vector(F2, [0, 0])}
+        # k = n leaves one syndrome and an empty parity matrix; at n = 1 the
+        # head half of the leader scan is empty too
+        for code, p in (
+            (Code.from_rows(F2, [[1, 0], [0, 1]]), Poset.antichain(2)),
+            (Code.from_rows(F3, [[1, 2, 0], [0, 1, 1], [0, 0, 2]]), Poset.chain(3)),
+            (Code.from_rows(F3, [[2]]), Poset.antichain(1)),
+        ):
+            table = build_table(code, p)
+            assert table.parity.k == 0
+            assert dict(table.leaders) == {(): Vector(code.field, [0] * code.n)}
 
     def test_rebuild_is_identical(self):
         rng = random.Random(2)
@@ -136,10 +143,14 @@ class TestSyndromeTable:
 
     def test_leaders_match_reference_enumeration(self):
         # the full table and every plan group table keep exactly the
-        # leaders of a literal scan: same words, same insertion order
+        # leaders of a literal scan: same words, same insertion order.  At
+        # the longer lengths the leader scan often stops before its last
+        # round, where a stop that ignored the weight bound would keep words
+        # heavier than some leaders
         rng = random.Random(10)
-        for field, max_n in ((F2, 7), (F3, 5), (F5, 3), (F7, 3)):
-            for _ in range(4):
+        for field, max_n, count in ((F2, 7, 4), (F3, 5, 4), (F5, 3, 4), (F7, 3, 4),
+                                    (F2, 9, 12), (F3, 6, 12)):
+            for _ in range(count):
                 n = rng.randint(2, max_n)
                 code = random_code(rng, field, n, rng.randint(1, n))
                 p = random_hierarchical_poset(rng, n) if rng.random() < 0.5 else random_poset(rng, n)
@@ -152,6 +163,49 @@ class TestSyndromeTable:
                         group.code, lambda v: brute_weight(unproject_support(support, n, v), p)
                     )
                     assert list(group.table.leaders.items()) == list(expected.items())
+
+    def test_group_leaders_can_outweigh_the_group_length(self):
+        # the top group's ideals reach the two elements below it, so its
+        # words weigh up to 4 on 2 coordinates: the scan's bounds range over
+        # the union sizes that occur, not over 0..n
+        p = Poset.hierarchical_from_levels([[1, 2], [3, 4]])
+        code = Code.from_rows(F3, [[1, 1, 0, 0], [0, 0, 1, 2]])
+        plan = build_plan(components_from_matrix(code.gen), p)
+        top = plan.groups[-1]
+        assert top.support == (3, 4)
+        weight = lambda v: brute_weight(unproject_support([3, 4], 4, v), p)
+        expected = reference_leaders(top.code, weight)
+        assert list(top.table.leaders.items()) == list(expected.items())
+        assert max(map(weight, expected.values())) > len(top.support)
+
+    def test_leader_scan_stops_at_the_weight_bound(self, monkeypatch):
+        # the hierarchical GF(2) n=16 k=8 code of the decode-stream
+        # benchmark: a scan of all 2^16 words makes 65,536 kernel adds for
+        # the pairs alone, and no leader there weighs more than the bound
+        # reached after a few thousand pairs
+        rng = random.Random("posetcode-bench-catalog-1/decode/q2/n16/2")
+        p = random_hierarchical_poset(rng, 16)
+        code = random_code(rng, F2, 16, 8)
+        calls = 0
+
+        def counting_kernel(*shape):
+            nonlocal calls
+            kernel = RowKernel(*shape)
+            add = kernel.add
+
+            def counting_add(a, b):
+                nonlocal calls
+                calls += 1
+                return add(a, b)
+
+            kernel.add = counting_add
+            return kernel
+
+        monkeypatch.setattr(decode_module, "row_kernel", counting_kernel)
+        ideals = decode_module._coordinate_ideals(p, range(1, 17))
+        table = decode_module._build_table(code, ideals, DEFAULT_BUDGET)
+        assert len(table.leaders) == 2**8
+        assert 0 < calls < 5_000, calls
 
     def test_syndrome_of_each_leader_is_its_key(self):
         rng = random.Random(13)
