@@ -30,8 +30,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .linear import (Basis, Code, Matrix, RowKernel, _lexicographic, _packed_columns,
-                     _residue_matrix, is_generalized_rref, p_weight, row_kernel)
+from .linear import (Basis, Code, Matrix, RowKernel, _independent_code, _lexicographic,
+                     _packed_columns, _residue_matrix, is_generalized_rref, p_weight,
+                     row_kernel)
 from .poset import Poset, _downs, _mask_to_set, _nonzero_mask, _row_graph_groups, _strict_ups
 
 
@@ -145,14 +146,25 @@ def components_from_matrix(g: Matrix) -> Decomposition:
     with intersecting supports; each group spans one component, and null
     columns form the pointer support.
     """
-    code = Code(g)  # checks the rank before any component does
+    return _decompose(Code(g))  # Code checks the rank of the whole generator
+
+
+def _decompose(code: Code) -> Decomposition:
+    """`components_from_matrix` of a code's generator, whose rows are
+    independent: each row's support mask is computed once, and each
+    component, a subset of those rows, is built without a rank pass and
+    with the union of its rows' masks as its support."""
+    g = code.gen
     masks = [_nonzero_mask(row) for row in g.rows]
-    components = tuple(
-        Code(_residue_matrix(g.field, tuple(g.rows[r] for r in group), g.n))
-        for group in _row_graph_groups(masks)
-    )
+    components = []
+    for group in _row_graph_groups(masks):
+        support = 0
+        for r in group:
+            support |= masks[r]
+        rows = _residue_matrix(g.field, tuple(g.rows[r] for r in group), g.n)
+        components.append(_independent_code(rows, support))
     pointer = _mask_to_set(((1 << g.n) - 1) & ~functools.reduce(operator.or_, masks))
-    return Decomposition(code, components, pointer)
+    return Decomposition(code, tuple(components), pointer)
 
 
 def _coset_representative(
@@ -384,18 +396,20 @@ class _Canonicalizer:
 
         The search (`first_split`) runs in two column orders.  Height
         order places the columns highest first; its first split is the
-        one applied.  Fixed-first order places first the fixed columns,
-        those with no source in the component, which are placed as they
-        are, then the rest, each group highest first.  It runs first, and
-        a component in which it finds no split cannot split.
+        one applied.  Fixed-first order places the columns by their
+        number of sources in the component, ties highest first: the fixed
+        columns, those with no source, which are placed as they are, come
+        first.  It runs first, and a component in which it finds no split
+        cannot split.
 
         That verdict is exact.  Each rule below holds for any order that
         places every column after its sources, so in either order the
         search reaches every split, up to the exact duplicates that
         `seen` and `tried` remove: whether it returns a split does not
         depend on the order.  Both orders place sources first: a source
-        lies strictly above its column in the poset, so it is higher,
-        and a fixed column has no source.  The cuts remove only states
+        s of r lies strictly above r in the poset, so it is higher; and
+        every source of s is a source of r, while s is one of r's but not
+        its own, so s has fewer sources than r.  The cuts remove only states
         that hold no split, and whether one removes a state depends only
         on its key, so the first split found does not depend on them.
 
@@ -551,8 +565,8 @@ class _Canonicalizer:
             return None
 
         seen: set = set()
-        # fixed columns first, each group still highest first, as the sort is stable
-        if first_split(sorted(by_height, key=lambda r: bool(sources[r])), seen) is None:
+        # fewest sources first, ties still highest first, as the sort is stable
+        if first_split(sorted(by_height, key=lambda r: len(sources[r])), seen) is None:
             return None
         return first_split(by_height, seen)
 
@@ -612,7 +626,8 @@ def is_p_canonical(g: Matrix, poset: Poset) -> bool:
 def maximal_p_decomposition(code: Code, poset: Poset) -> PDecomposition:
     """Canonicalize the generator and decompose the resulting matrix."""
     gstar, witness = canonical_form(code.gen, poset)
-    decomposition = components_from_matrix(gstar)
+    # every move is invertible, so the canonical rows are independent
+    decomposition = _decompose(_independent_code(gstar))
     return PDecomposition(original=code, decomposition=decomposition, witness=witness)
 
 

@@ -23,7 +23,9 @@ output back as a residue tuple, one table lookup per run of slots
 (`RowKernel.residues`), into a `Vector` that is not reduced again
 (`_residue_vector`).  The canonical form reads its generator and witness
 the same way, into matrices that are not reduced again either
-(`_residue_matrix`), as are the decomposition's components.
+(`_residue_matrix`), as are the decomposition's components; those
+components, whose rows are known to be independent, become codes
+without a rank pass (`_independent_code`).
 """
 
 from __future__ import annotations
@@ -493,18 +495,22 @@ def is_generalized_rref(g: Matrix) -> bool:
 class Code:
     """A k-dimensional subspace of GF(q)^n given by a full-rank generator."""
 
-    __slots__ = ("gen", "field", "n", "k", "_basis")
+    __slots__ = ("gen", "field", "n", "k", "_basis", "_support")
 
     def __init__(self, gen: Matrix):
         if gen.k < 1:
             raise ValueError("a code needs at least one generator row")
         if gen.rank() != gen.k:
             raise ValueError(f"rank deficiency: generator has rank {gen.rank()} < {gen.k} rows")
+        self._store(gen, None)
+
+    def _store(self, gen: Matrix, support: int | None) -> None:
         object.__setattr__(self, "gen", gen)
         object.__setattr__(self, "field", gen.field)
         object.__setattr__(self, "n", gen.n)
         object.__setattr__(self, "k", gen.k)
         object.__setattr__(self, "_basis", None)  # contains' basis, built on its first call
+        object.__setattr__(self, "_support", support)  # support()'s mask, None until computed
 
     def __setattr__(self, name, value):
         raise AttributeError("Code is immutable")
@@ -519,7 +525,10 @@ class Code:
 
     def support(self) -> frozenset[int]:
         """1-indexed coordinates where some codeword is nonzero."""
-        return _mask_to_set(functools.reduce(operator.or_, map(_nonzero_mask, self.gen.rows)))
+        if self._support is None:
+            mask = functools.reduce(operator.or_, map(_nonzero_mask, self.gen.rows))
+            object.__setattr__(self, "_support", mask)
+        return _mask_to_set(self._support)
 
     def codewords(self, budget: int = DEFAULT_BUDGET) -> Iterator[Vector]:
         """All q**k codewords, enumerated deterministically."""
@@ -544,6 +553,15 @@ class Code:
             object.__setattr__(self, "_basis", _triangular(self.field, self.gen.rows, self.n))
         kernel, basis = self._basis
         return not kernel.reduce(kernel.pack(v.coords), basis)
+
+
+def _independent_code(gen: Matrix, support: int | None = None) -> Code:
+    """A Code of rows known to be independent, with the mask of their
+    support when it is known: no rank pass, and `support()` reads the
+    mask as given.  The code counterpart of `_residue_matrix`."""
+    code = object.__new__(Code)
+    code._store(gen, support)
+    return code
 
 
 def apply_map(m: Matrix, v: Vector) -> Vector:

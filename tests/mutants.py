@@ -46,7 +46,8 @@ SLICE = "tests/test_identity_corpus.py::test_identity_corpus_slice_matches_recor
 CANONICAL = "tests/test_decomp.py::TestCanonicalForm::"
 LINEAR = "tests/test_linear.py::"
 PINNED = CANONICAL + "test_pinned_outputs"
-LEADERS = "tests/test_decode.py::TestSyndromeTable::"
+DECODE = "tests/test_decode.py::"
+LEADERS = DECODE + "TestSyndromeTable::"
 PRUNED_REFERENCE = CANONICAL + "test_pruned_search_matches_reference"
 
 
@@ -200,6 +201,22 @@ MUTANTS = (
         "        if self._basis is None:\n",
         "        if True:\n",
         (LINEAR + "test_contains_builds_its_basis_once",),
+    ),
+    Mutant(
+        "components-code-without-rank-check", "decomp.py",
+        "return _decompose(Code(g))",
+        "return _decompose(_independent_code(g))",
+        ("tests/test_decomp.py::TestComponents::"
+         "test_zero_row_reports_the_rank_of_the_whole_generator",),
+    ),
+    Mutant(
+        "component-support-of-one-row", "decomp.py",
+        "support |= masks[r]",
+        "support = masks[r]",
+        (DECODE + "TestGrouping::test_hierarchical_groups_match_the_closed_quotient",
+         DECODE + "TestDecoding::test_leveled_decoders_optimal_without_pointer_content",
+         DECODE + "TestTableSizes::test_accounting_identity",
+         SLICE),
     ),
     # Equivalent: no output tells them from the program.  Visiting the
     # components by smallest column changed no output on 120,589 random

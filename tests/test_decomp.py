@@ -525,6 +525,10 @@ class TestCanonicalForm:
         # and the n = 24 tail, recorded before the search decided split
         # existence with the fixed columns first (10.8 s there)
         "gf2-n24-seed4": "05ba931464534a695bd07f0a08b302c7e7726031ee5d09ab01091564b4ffc0e8",
+        # GF(2), n = 32, seed 3: a component that cannot split, recorded
+        # before the fixed-first search placed columns by source count
+        # (about 12 s there)
+        "gf2-n32-seed3": "fb7945be4f077d093ac401cba28c6aa0563fc2dbce195088a9bedb72faf781cf",
         # GF(3), n = 14, k = 7, density 0.1, drawn the same way; recorded
         # before the search read the blocks of the fixed columns
         "gf3-n14-seed0": "7303ac3a3eff7781590465130f5f4fc49805ea9cd7118f2101615215fcb62ed1",
@@ -623,6 +627,13 @@ class TestCanonicalForm:
         calls = self.dead_column_calls(monkeypatch, "gf3-n20-seed7")
         assert 0 < calls < 60_000, calls
 
+    def test_split_search_work_on_the_n32_no_split_tail(self, monkeypatch):
+        # no component of this instance splits, so only the fixed-first
+        # search runs; it sent 350,659 states through the dead-column check
+        # when it placed the columns with sources in height order
+        calls = self.dead_column_calls(monkeypatch, "gf2-n32-seed3")
+        assert 0 < calls < 100_000, calls
+
 
 class TestProfileAndDegree:
     def test_trivial_full_support_profile(self):
@@ -647,6 +658,36 @@ class TestProfileAndDegree:
                 entries = list(profile(maximal_p_decomposition(code, p).decomposition))
                 assert sum(ni for ni, _ in entries) == n
                 assert sum(ki for _, ki in entries[1:]) == k
+
+    def test_decomposition_reads_what_canonical_form_knows(self, monkeypatch):
+        # the canonical rows are independent and each component is a subset
+        # of them, so no rank pass runs; each row's support mask is
+        # computed once, and the partition check and `profile` read it
+        from posetcode import linear, poset
+
+        rng = random.Random(71)
+        for field in (F2, F3, F5):
+            for _ in range(10):
+                n = rng.randint(2, 8)
+                k = rng.randint(1, n)
+                code = random_code(rng, field, n, k)
+                p = random_poset(rng, n, 0.3)
+                masks = 0
+
+                def counting_mask(coords, mask=poset._nonzero_mask):
+                    nonlocal masks
+                    masks += 1
+                    return mask(coords)
+
+                for module in (poset, linear, decomp):
+                    monkeypatch.setattr(module, "_nonzero_mask", counting_mask)
+                monkeypatch.setattr(linear, "_triangular", None)  # a rank pass would raise
+                pd = maximal_p_decomposition(code, p)
+                profile(pd.decomposition)
+                monkeypatch.undo()
+                assert masks == k
+                assert profile(pd.decomposition) == profile(
+                    components_from_matrix(pd.decomposition.code.gen))
 
     def test_degree_of_trivial_decomposition_is_zero(self):
         code = Code.from_rows(F2, [[1, 1, 0, 1]])

@@ -303,6 +303,15 @@ def test_contains_builds_its_basis_once(monkeypatch):
     assert not code.contains(Vector(F2, [0, 0, 0, 1]))
 
 
+def test_support_computes_its_mask_once(monkeypatch):
+    import posetcode.linear as linear
+
+    code = Code.from_rows(F2, [[1, 0, 0, 1], [0, 1, 0, 1]])
+    assert code.support() == frozenset({1, 2, 4})
+    monkeypatch.setattr(linear, "_nonzero_mask", None)  # a second walk would now raise
+    assert code.support() == frozenset({1, 2, 4})
+
+
 def test_classical_rref_pivots():
     reduced, pivots = classical_rref(EXAMPLE_G)
     assert pivots == (0, 1, 2)
