@@ -15,11 +15,13 @@ elements.  It stops after the first round in which every syndrome has a
 word of weight at most B, since every word that light has both halves
 within B.  Ties go to the lexicographically first word, as in a scan of
 all q^n words, and the leaders are listed in the order in which such a
-scan first meets their syndromes: the order of the words supported on
-the columns of H picked greedily from the right.  It keeps the leaders
-and nothing else.  Both halves come from `linear._lexicographic`: the
-syndromes as combinations of the parity columns, the unions as
-combinations of the coordinate ideals under `|`.
+scan first meets their syndromes.  That is their lexicographic order:
+H is the identity on the non-pivot columns of the generator's reduced
+echelon form, and each of its pivot columns combines only non-pivot
+columns to its right.  It keeps the leaders and nothing else.  Both
+halves come from `linear._lexicographic`: the syndromes as combinations
+of the parity columns, the unions as combinations of the coordinate
+ideals under `|`.
 
 Every decoder reads a received word through one packed accumulator,
 built by `_build_decoder` from groups of (support, leader table) given
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -68,7 +70,14 @@ from .poset import Poset, _downs, _elements_mask, _row_graph_groups, cut_levels
 
 
 def parity_check(code: Code) -> Matrix:
-    """A full-rank (n-k) x n matrix whose kernel is the code."""
+    """A full-rank (n-k) x n matrix whose kernel is the code.
+
+    Row t is 1 at the t-th non-pivot column of the generator's reduced
+    echelon form and 0 at the others, so H is the identity there.  At
+    pivot column c it is minus the rref row of c at that non-pivot
+    column, zero left of c: a pivot column of H combines only non-pivot
+    columns to its right.  The leader tables' order rests on both facts.
+    """
     rref, pivots = classical_rref(code.gen)
     p = code.field.p
     pivot_set = set(pivots)
@@ -152,22 +161,17 @@ class SyndromeTable:
     the one-group accumulator of the module docstring, whose `_Slots`
     entry maps each packed syndrome to the negated packed leader, in
     the order of `leaders`.  A plan's group tables keep the leaders
-    only and decode through their plan.
+    only and decode through their plan.  Every table keeps the columns
+    of `parity` as its leader scan packed them.
     """
 
     code: Code
     parity: Matrix
     leaders: Mapping[tuple[int, ...], Vector]
+    _parity_columns: Sequence[int] = dataclass_field(repr=False, compare=False, kw_only=True)
     _decoder: _Decoder | None = dataclass_field(
         default=None, repr=False, compare=False, kw_only=True
     )
-
-    @cached_property
-    def _parity_columns(self) -> list[int]:
-        """The packed columns of the parity matrix, packed on the first
-        `syndrome` call; a group table has no decoder to hold them."""
-        return _packed_columns(row_kernel(self.code.field.p, self.parity.k),
-                               self.parity.rows, self.code.n)
 
     def syndrome(self, y: Vector) -> tuple[int, ...]:
         _check_word(self.code, y)
@@ -206,12 +210,12 @@ def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTabl
     ones, the lexicographically first, as in a scan of all q^n words.
 
     `leaders` lists the syndromes in the order in which that scan first
-    meets them.  The columns of H picked greedily from the right are a
-    basis of its column space, and a column left out depends on picked
-    columns to its right: so the lexicographically first word of every
-    coset is supported on the picked columns, and the words supported
-    there, listed by `linear._lexicographic`, give each syndrome once,
-    in that order.  The table has no decoder.
+    meets them: their lexicographic order.  `parity_check` makes H the
+    identity on the non-pivot columns, in order, and each pivot column
+    of H combines only non-pivot columns to its right, so moving a
+    pivot coordinate onto them keeps the syndrome and gives an earlier
+    word.  The first word of each coset lies on the non-pivot columns,
+    and its coordinates there are its syndrome.  The table has no decoder.
     """
     q, n, k = code.q, code.n, code.k
     size = q ** (n - k)
@@ -258,19 +262,12 @@ def _build_table(code: Code, ideals: Sequence[int], budget: int) -> SyndromeTabl
         if len(best) == size and max(best.values()) < (bound + 1) * ranks:
             break
 
-    picked, basis = [], ()
-    for j in reversed(range(n)):
-        grown = kernel.adjoin(basis, columns[j])
-        if grown is not None:
-            picked.append(j)
-            basis = grown
     head_runs, tail_runs = _residue_runs(q, n // 2), _residue_runs(q, n - n // 2)
     leaders = {}
-    for s in _lexicographic(add, 0, [multiples[j] for j in sorted(picked)]):
-        head, tail = divmod(best[s] % ranks, tail_count)
-        leaders[tuple(kernel.unpack(s))] = _residue_vector(code.field,
-                                                           head_runs[head] + tail_runs[tail])
-    return SyndromeTable(code, parity, leaders)
+    for key in _residue_runs(q, n - k):
+        head, tail = divmod(best[kernel.pack(key)] % ranks, tail_count)
+        leaders[key] = _residue_vector(code.field, head_runs[head] + tail_runs[tail])
+    return SyndromeTable(code, parity, leaders, _parity_columns=columns)
 
 
 def _build_decoder(
@@ -301,8 +298,7 @@ def _build_decoder(
         keep_shifts.append(keep_shift)
         # H_g e_i at this group's syndrome shift, and W^-1 e_i at the keep
         # shift of this group and of every group below it
-        parity_columns = _packed_columns(syndromes, table.parity.rows, len(support))
-        for i, column in zip(support, parity_columns):
+        for i, column in zip(support, table._parity_columns):
             image = outward_columns[i - 1]
             stacked[i - 1] |= column << shift | sum(image << k for k in keep_shifts)
         columns = [outward_columns[i - 1] for i in support]

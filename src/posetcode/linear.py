@@ -263,11 +263,10 @@ class RowKernel:
             row = row << w | c
         return row
 
-    def unpack(self, row: int, start: int = 0, stop: int | None = None) -> list[int]:
-        """Slots start, ..., stop - 1 (by default the m coordinates)."""
+    def unpack(self, row: int) -> list[int]:
+        """The m coordinate slots of a row."""
         w, slot = self.w, self.slot
-        stop = self.m if stop is None else stop
-        return [row >> shift & slot for shift in range(start * w, stop * w, w)]
+        return [row >> shift & slot for shift in range(0, self.m * w, w)]
 
     def residues(self, row: int) -> tuple[int, ...]:
         """The m coordinates of a row whose coordinate slots are normalized,
@@ -500,8 +499,9 @@ class Code:
     def __init__(self, gen: Matrix):
         if gen.k < 1:
             raise ValueError("a code needs at least one generator row")
-        if gen.rank() != gen.k:
-            raise ValueError(f"rank deficiency: generator has rank {gen.rank()} < {gen.k} rows")
+        rank = gen.rank()
+        if rank != gen.k:
+            raise ValueError(f"rank deficiency: generator has rank {rank} < {gen.k} rows")
         self._store(gen, None)
 
     def _store(self, gen: Matrix, support: int | None) -> None:

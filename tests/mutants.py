@@ -93,10 +93,17 @@ MUTANTS = (
         (SLICE, LEADERS + "test_leaders_match_reference_enumeration"),
     ),
     Mutant(
-        "leader-order-from-the-left", "decode.py",
-        "for j in reversed(range(n)):",
-        "for j in range(n):",
+        "leader-order-reversed", "decode.py",
+        "for key in _residue_runs(q, n - k):",
+        "for key in reversed(_residue_runs(q, n - k)):",
         (SLICE, LEADERS + "test_leaders_match_reference_enumeration"),
+    ),
+    Mutant(
+        "parity-free-columns-reversed", "decode.py",
+        "free_cols = [j for j in range(code.n) if j not in pivot_set]",
+        "free_cols = [j for j in reversed(range(code.n)) if j not in pivot_set]",
+        (SLICE, LEADERS + "test_leaders_match_reference_enumeration",
+         DECODE + "TestParityCheck::test_identity_on_the_non_pivot_columns"),
     ),
     Mutant(
         "leader-bounds-over-lengths", "decode.py",

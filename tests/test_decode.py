@@ -35,7 +35,7 @@ from posetcode.decode import (
     unproject_support,
 )
 from posetcode.field import PrimeField
-from posetcode.linear import Code, Matrix, RowKernel, Vector, p_distance
+from posetcode.linear import Code, Matrix, RowKernel, Vector, classical_rref, p_distance
 from posetcode.poset import Poset
 from posetcode.randgen import random_code, random_hierarchical_poset, random_poset
 
@@ -72,6 +72,25 @@ class TestParityCheck:
         h = parity_check(Code.from_rows(F2, [[1, 0], [0, 1]]))
         assert h.k == 0 and h.n == 2
 
+    def test_identity_on_the_non_pivot_columns(self):
+        # the two facts the leader tables' lexicographic order rests on: H
+        # is the identity on the non-pivot columns of the generator's rref,
+        # in order, and a pivot column of H is nonzero only in rows whose
+        # non-pivot column lies to its right
+        rng = random.Random(32)
+        for field in (F2, F3, F5, F7):
+            shapes = [(1, 1), (4, 4)] + [(n, rng.randint(1, n)) for n in range(1, 8)]
+            for n, k in shapes:
+                code = random_code(rng, field, n, k)
+                h = parity_check(code)
+                pivots = classical_rref(code.gen)[1]
+                free = [j for j in range(n) if j not in pivots]
+                assert [list(h.column(j)) for j in free] == [
+                    [int(t == u) for t in range(n - k)] for u in range(len(free))
+                ]
+                for c in pivots:
+                    assert all(free[t] > c for t, entry in enumerate(h.column(c)) if entry)
+
     def test_orthogonality_and_rank(self):
         rng = random.Random(1)
         for p in (2, 3):
@@ -104,7 +123,8 @@ class TestSyndromeTable:
         assert table.leaders[syndrome].coords == (1, 0, 0)
 
     def test_syndrome_packs_the_parity_columns_once_per_table(self, monkeypatch):
-        # a full table and a plan's group table, which has no decoder
+        # a full table and a plan's group table, which has no decoder: both
+        # read the columns their leader scan packed, so syndrome packs none
         calls = []
         packed_columns = decode_module._packed_columns
         monkeypatch.setattr(
@@ -119,7 +139,7 @@ class TestSyndromeTable:
             assert [table.syndrome(y) for y in words] == [
                 _reference_syndrome(table.parity, y) for y in words
             ]
-            assert len(calls) == 1
+            assert not calls
 
     def test_full_space_single_leader(self):
         # k = n leaves one syndrome and an empty parity matrix; at n = 1 the
@@ -157,12 +177,14 @@ class TestSyndromeTable:
                 table = build_table(code, p)
                 expected = reference_leaders(code, lambda v: brute_weight(v, p))
                 assert list(table.leaders.items()) == list(expected.items())
+                assert list(table.leaders) == sorted(table.leaders)
                 for group in build_plan_for_code(code, p).groups:
                     support = list(group.support)
                     expected = reference_leaders(
                         group.code, lambda v: brute_weight(unproject_support(support, n, v), p)
                     )
                     assert list(group.table.leaders.items()) == list(expected.items())
+                    assert list(group.table.leaders) == sorted(group.table.leaders)
 
     def test_group_leaders_can_outweigh_the_group_length(self):
         # the top group's ideals reach the two elements below it, so its
@@ -206,6 +228,40 @@ class TestSyndromeTable:
         table = decode_module._build_table(code, ideals, DEFAULT_BUDGET)
         assert len(table.leaders) == 2**8
         assert 0 < calls < 5_000, calls
+
+    def test_leader_order_needs_no_second_enumeration(self, monkeypatch):
+        # the same code: the leaders are read in lexicographic syndrome
+        # order, so the two halves' syndromes and ideal unions are the only
+        # enumerations, and no basis of syndrome-width columns is grown
+        rng = random.Random("posetcode-bench-catalog-1/decode/q2/n16/2")
+        p = random_hierarchical_poset(rng, 16)
+        code = random_code(rng, F2, 16, 8)
+        enumerations = adjoins = 0
+        lexicographic = decode_module._lexicographic
+
+        def counting_lexicographic(*args):
+            nonlocal enumerations
+            enumerations += 1
+            return lexicographic(*args)
+
+        def counting_kernel(p, m, *tags):
+            kernel = RowKernel(p, m, *tags)
+            adjoin = kernel.adjoin
+
+            def counting_adjoin(basis, row):
+                nonlocal adjoins
+                adjoins += m == code.n - code.k
+                return adjoin(basis, row)
+
+            kernel.adjoin = counting_adjoin
+            return kernel
+
+        monkeypatch.setattr(decode_module, "_lexicographic", counting_lexicographic)
+        monkeypatch.setattr(decode_module, "row_kernel", counting_kernel)
+        ideals = decode_module._coordinate_ideals(p, range(1, 17))
+        table = decode_module._build_table(code, ideals, DEFAULT_BUDGET)
+        assert len(table.leaders) == 2**8
+        assert (enumerations, adjoins) == (4, 0)
 
     def test_syndrome_of_each_leader_is_its_key(self):
         rng = random.Random(13)

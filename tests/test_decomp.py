@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import ReferenceCanonicalizer, reference_canonical_form, reference_coset_reduce
 from posetcode import decomp, oracle
 from posetcode.field import PrimeField
-from posetcode.linear import Code, Matrix, is_generalized_rref, row_reduce_inverse
+from posetcode.linear import Code, Matrix, is_generalized_rref, row_kernel, row_reduce_inverse
 from posetcode.decomp import (
     Decomposition,
     PDecomposition,
@@ -475,7 +475,8 @@ class TestCanonicalForm:
         state.rereduce()
         reduced = row_reduce_inverse(g)
         assert [kernel.unpack(c) for c in state.cols] == [list(reduced.column(j)) for j in range(n)]
-        assert [kernel.unpack(c, k, k + n) for c in state.cols] == tags
+        tag_slots = row_kernel(q, n)  # the tags, once a column is shifted past its k coordinates
+        assert [tag_slots.unpack(c >> (kernel.w * k)) for c in state.cols] == tags
 
     @pytest.mark.parametrize("q, rows, relations, one_pass", [
         # a pass moves column 1 onto e2; the rows stay reduced, so the

@@ -346,24 +346,27 @@ def test_kernel_pack_add_and_multiples_match_residues(p, data):
     m = data.draw(st.integers(0, 12))
     tags = data.draw(st.integers(0, 4))
     kernel = RowKernel(p, m, tags)
+    # the slot width depends on p alone, so a kernel of m + tags slots
+    # reads every slot, and one of tags slots reads the tags shifted down
+    slots = row_kernel(p, m + tags)
     a = _coords(data.draw, p, m + tags)
     b = _coords(data.draw, p, m + tags)
     pa, pb = kernel.pack(a), kernel.pack(b)
-    assert kernel.unpack(pa, 0, m + tags) == a
+    assert slots.unpack(pa) == a
     assert kernel.unpack(pa) == a[:m]
-    assert kernel.unpack(pa, m, m + tags) == a[m:]
-    assert kernel.unpack(kernel.add(pa, pb), 0, m + tags) == [(x + y) % p for x, y in zip(a, b)]
+    assert row_kernel(p, tags).unpack(pa >> (kernel.w * m)) == a[m:]
+    assert slots.unpack(kernel.add(pa, pb)) == [(x + y) % p for x, y in zip(a, b)]
     top = kernel.w - 1
     assert kernel.nonzero(pa) == sum(1 << (i * kernel.w + top) for i in range(m) if a[i])
     multiples = kernel.multiples(pa)
     assert len(multiples) == p
     for c in data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)):
         expected = [c * x % p for x in a]
-        assert kernel.unpack(multiples[c], 0, m + tags) == expected
+        assert slots.unpack(multiples[c]) == expected
         if c:
-            assert kernel.unpack(kernel.scale(pa, c), 0, m + tags) == expected
+            assert slots.unpack(kernel.scale(pa, c)) == expected
     for i in range(m + tags):
-        assert kernel.unpack(kernel.unit(i), 0, m + tags) == [int(t == i) for t in range(m + tags)]
+        assert slots.unpack(kernel.unit(i)) == [int(t == i) for t in range(m + tags)]
 
 
 @settings(max_examples=40, deadline=None)
